@@ -140,8 +140,8 @@ def _maybe_dump_opstream(
     """Write the op-stream ledger to ``--opstream-stats`` (side channel).
 
     The stats file is diagnostic output, never part of a result envelope:
-    it records codec/lookahead/rollback accounting for the bench harness
-    and the CI proxy gate.  A serial run writes an empty object so
+    it records frame, byte and barrier-wait accounting for the bench
+    harness and the CI proxy gate.  A serial run writes an empty object so
     callers can treat the file's existence uniformly.
     """
     path = getattr(args, "opstream_stats", None)
@@ -175,10 +175,7 @@ def _fleet_command(args: argparse.Namespace) -> int:
             from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
             cluster = ShardedFleetCluster.build(
-                args.nodes,
-                shards=args.shards,
-                max_oversub=args.max_oversub,
-                lookahead=args.lookahead,
+                args.nodes, shards=args.shards, max_oversub=args.max_oversub
             )
             service_cls = ShardedFleetService
         else:
@@ -206,9 +203,8 @@ def _fleet_command(args: argparse.Namespace) -> int:
     if args.json:
         results = _to_jsonable(result.summary())
         results["nodes"] = _to_jsonable(node_report)
-        # ``--shards``/``--lookahead`` are execution details, not parameters:
-        # results are byte-identical at any shard count or speculation depth,
-        # so they stay out of the envelope.
+        # ``--shards`` is an execution detail, not a parameter: results are
+        # byte-identical at any shard count, so it stays out of the envelope.
         emit_envelope(
             "fleet",
             {
@@ -261,9 +257,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         if sharded:
             from repro.parallel import ShardedFleetCluster
 
-            cluster = ShardedFleetCluster.build(
-                nodes, shards=args.shards, lookahead=args.lookahead
-            )
+            cluster = ShardedFleetCluster.build(nodes, shards=args.shards)
             service_cls = GatewayShardedFleetService
         else:
             cluster = FleetCluster.build(nodes)
@@ -307,9 +301,8 @@ def _serve_command(args: argparse.Namespace) -> int:
             cluster.close()
     results = _to_jsonable(result.to_dict())
     if args.json:
-        # ``--shards``/``--lookahead`` are execution details: envelopes are
-        # byte-identical at any shard count or speculation depth, so they
-        # stay out of the params block.  The
+        # ``--shards`` is an execution detail: envelopes are byte-identical
+        # at any shard count, so it stays out of the params block.  The
         # trace is identified by digest, not file path: synthesizing a
         # trace and replaying its saved copy are the same experiment.
         emit_envelope(
@@ -474,9 +467,7 @@ def _chaos_command(args: argparse.Namespace) -> int:
             if sharded:
                 from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
-                cluster = ShardedFleetCluster.build(
-                    args.nodes, shards=args.shards, lookahead=args.lookahead
-                )
+                cluster = ShardedFleetCluster.build(args.nodes, shards=args.shards)
                 service_cls = ShardedFleetService
             else:
                 cluster = FleetCluster.build(args.nodes)
@@ -781,18 +772,10 @@ def main(argv=None) -> int:
         help="shard fleet nodes across N worker processes (byte-identical results)",
     )
     fleet.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    fleet.add_argument(
         "--opstream-stats",
         metavar="FILE",
         default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
+        help="write the sharded op-stream ledger as JSON",
     )
 
     serve = sub.add_parser(
@@ -873,18 +856,10 @@ def main(argv=None) -> int:
         help="shard fleet nodes across N worker processes (byte-identical results)",
     )
     serve.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    serve.add_argument(
         "--opstream-stats",
         metavar="FILE",
         default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
+        help="write the sharded op-stream ledger as JSON",
     )
 
     from repro.experiments.harness import STACK_MODES
@@ -996,18 +971,10 @@ def main(argv=None) -> int:
         help="shard fleet nodes across N worker processes (byte-identical results)",
     )
     chaos.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        metavar="K",
-        help="let shard workers speculate K epochs ahead of the coordinator "
-        "(0 = no speculation; byte-identical results at any depth)",
-    )
-    chaos.add_argument(
         "--opstream-stats",
         metavar="FILE",
         default=None,
-        help="write the sharded op-stream/speculation ledger as JSON",
+        help="write the sharded op-stream ledger as JSON",
     )
     chaos.add_argument(
         "--autoscale",

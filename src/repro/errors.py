@@ -92,3 +92,16 @@ class UnknownTenantError(ConfigurationError):
 
 class FaultPlanError(ConfigurationError):
     """A fault-injection plan is malformed (unknown kind, unsorted, ...)."""
+
+
+class ShardWorkerError(ReproError):
+    """A sharded-fleet worker process died while the coordinator needed it."""
+
+    def __init__(self, shard: int, nodes, exitcode) -> None:
+        names = ", ".join(nodes)
+        super().__init__(
+            f"shard worker {shard} (nodes {names}) died with exit code {exitcode}"
+        )
+        self.shard = shard
+        self.nodes = tuple(nodes)
+        self.exitcode = exitcode

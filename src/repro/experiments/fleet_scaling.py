@@ -45,8 +45,6 @@ def serve_fleet(
     max_oversub: int = 2,
     queue_limit: int = 16,
     shards: int = 1,
-    lookahead: int = 0,
-    codec: str = "binary",
     opstream_stats: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """One cell of the sweep: serve the trace, return the fleet summary.
@@ -55,11 +53,10 @@ def serve_fleet(
     the largest fleet in ``NODE_COUNTS``), so every node count faces the
     same absolute offered rate and the same request stream.  With
     ``shards > 1`` the nodes are partitioned across worker processes
-    (:mod:`repro.parallel`); ``lookahead``/``codec`` tune the op-stream
-    protocol; the summary is byte-identical either way.  A single node
-    degenerates to the serial path (nothing to partition).  Pass a dict
-    as ``opstream_stats`` to receive the run's op-stream ledger (bench
-    side channel, never part of the summary).
+    (:mod:`repro.parallel`); the summary is byte-identical either way.
+    A single node degenerates to the serial path (nothing to partition).
+    Pass a dict as ``opstream_stats`` to receive the run's op-stream
+    ledger (bench side channel, never part of the summary).
     """
     reference_nodes = reference_nodes or max(NODE_COUNTS)
     sharded = shards > 1 and n_nodes > 1
@@ -67,11 +64,7 @@ def serve_fleet(
         from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
         cluster = ShardedFleetCluster.build(
-            n_nodes,
-            shards=shards,
-            max_oversub=max_oversub,
-            lookahead=lookahead,
-            codec=codec,
+            n_nodes, shards=shards, max_oversub=max_oversub
         )
         service_cls = ShardedFleetService
     else:

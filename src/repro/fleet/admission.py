@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -285,9 +284,6 @@ class FleetService:
         self._retry_rngs: Dict[int, np.random.RandomState] = {}
         self._arrivals = 0
         self._now = 0
-        #: The popped-but-not-yet-handled event, visible to the
-        #: speculation-window scan (the heap no longer contains it).
-        self._dispatching: Optional[Tuple[int, str, object]] = None
         self._ops: Optional["FleetOps"] = None
         self.autoscaler: Optional["Autoscaler"] = None
         #: Optional ``(verb, report, now_ps)`` callback invoked after every
@@ -364,77 +360,6 @@ class FleetService:
         the pacing point that pumps session coroutines.
         """
 
-    # -- speculation contract (read by the sharded executor) --------------------------
-
-    def queue_depth(self) -> int:
-        """Admission-queue length (pending placements waiting for a drain)."""
-        return len(self._pending)
-
-    def speculation_window(self, max_epochs: int) -> List[Tuple[str, int, int]]:
-        """The certain-departure prefix of the event sequence.
-
-        Returns ``[(tenant, session_epoch, depart_ps), ...]`` covering at
-        most ``max_epochs`` distinct event times of *consecutive*
-        currently-valid departures, starting with the event being
-        dispatched right now (it was already popped off the heap, but
-        its ops have not been emitted yet — the epoch hook that triggers
-        the grant scan runs before the event handler) and continuing
-        into the heap.  The events listed are exactly those guaranteed
-        to evict exactly those tenants at exactly those times.  Anything
-        else is a speculation barrier and stops the scan:
-
-        * a non-departure event (arrival, retry, fault, watchdog,
-          scheduled op) — its dispatch mutates arbitrary nodes; as the
-          *current* event this is an empty window, since its emissions
-          would conflict with any grant made this instant;
-        * a stale departure (its session epoch was bumped by a watchdog
-          re-arm or migration) — except as the current event, where its
-          dispatch provably emits nothing and the scan continues;
-        * a non-empty admission queue — a committed departure would
-          drain queued placements onto the freed slot.
-
-        Events pushed *after* a grant (gateway follow-ups, autoscaler
-        actions taken at dispatch time) are not this method's problem:
-        the executor catches those at emission time and rolls back.
-        """
-        if max_epochs <= 0 or self._pending:
-            return []
-        window: List[Tuple[str, int, int]] = []
-        times: set = set()
-
-        def admit(time_ps: int, tenant: str, epoch: int) -> bool:
-            if time_ps not in times:
-                if len(times) >= max_epochs:
-                    return False
-                times.add(time_ps)
-            window.append((tenant, epoch, time_ps))
-            return True
-
-        current = self._dispatching
-        if current is not None:
-            time_ps, kind, payload = current
-            if kind != "departure":
-                return []
-            tenant, epoch = payload
-            session = self._sessions.get(tenant)
-            if session is not None and session.epoch == epoch:
-                if not admit(time_ps, tenant, epoch):
-                    return window
-            # A stale current departure emits nothing: scan on.
-        # A bounded sorted prefix of the heap: stopping early is always
-        # safe (fewer grants), so don't pay a full sort on a deep heap.
-        limit = min(len(self._heap), max_epochs * 4 + 8)
-        for time_ps, _seq, kind, payload in heapq.nsmallest(limit, self._heap):
-            if kind != "departure":
-                break
-            tenant, epoch = payload
-            session = self._sessions.get(tenant)
-            if session is None or session.epoch != epoch:
-                break
-            if not admit(time_ps, tenant, epoch):
-                break
-        return window
-
     # -- the serving loop -------------------------------------------------------------
 
     def serve(self, requests: Sequence[TenantRequest]) -> ServeResult:
@@ -464,8 +389,6 @@ class FleetService:
         while self._heap:
             now, _seq, kind, payload = heapq.heappop(self._heap)
             self._now = now
-            self._dispatching = (now, kind, payload)
-            self.cluster.note_event(kind, now)
             self._advance_epoch(now)
             # Utilization integrates occupancy *before* this event's state
             # changes; the autoscaler reads the same pre-event snapshot.
@@ -660,22 +583,6 @@ class FleetService:
         if session is None:
             return None
         return session.node_name, session.physical_index
-
-    def apply_node_crash(self, name: str, now: int) -> List[Tuple[str, str]]:
-        """Deprecated shim — route through :meth:`FleetOps.crash` instead.
-
-        The typed verb (``service.ops.crash(name, now=now)``) returns a
-        :class:`~repro.fleet.ops.CrashReport`; this wrapper flattens it
-        back into the legacy ``(tenant, resolution)`` pairs.
-        """
-        warnings.warn(
-            "FleetService.apply_node_crash is deprecated; use "
-            "service.ops.crash(name, now=now) which returns a typed "
-            "CrashReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.ops.crash(name, now=now).resolutions)
 
     def apply_node_recover(self, name: str, now: int) -> None:
         self.ops.recover(name, now=now)

@@ -146,15 +146,7 @@ class Autoscaler:
         if now - self._last_tick_ps < self.config.interval_ps:
             return
         self._last_tick_ps = now
-        # Conflict-class attribution: everything a tick emits runs under
-        # the "autoscale" label (a tick-driven migration then refines it
-        # to "migration"); restore the dispatching event's label after.
-        cluster = self.service.cluster
-        previous_label = cluster.note_event("autoscale", now)
-        try:
-            self._tick(now)
-        finally:
-            cluster.note_event(previous_label, now)
+        self._tick(now)
 
     def _tick(self, now: int) -> None:
         service = self.service

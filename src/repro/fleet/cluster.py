@@ -10,7 +10,6 @@ Tenant names are unique fleet-wide so eviction needs no node handle.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.provider import Tenant
@@ -193,19 +192,6 @@ class FleetCluster:
         node.crash()
         return displaced
 
-    def crash_node(self, name: str) -> List[EvictedPlacement]:
-        """Deprecated direct mutation path — route through
-        :meth:`repro.fleet.ops.FleetOps.crash` instead, which returns a
-        typed :class:`~repro.fleet.ops.CrashReport` and keeps the serving
-        layer's session state consistent."""
-        warnings.warn(
-            "FleetCluster.crash_node is deprecated; use FleetOps.crash "
-            "(service.ops.crash) for typed, session-aware node failure",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._crash_node(name)
-
     def recover_node(self, name: str) -> FleetNode:
         node = self.node(name)
         node.recover()
@@ -220,17 +206,6 @@ class FleetCluster:
 
     def health_report(self) -> Dict[str, str]:
         return {node.name: node.health.value for node in self.nodes}
-
-    def note_event(self, kind: str, now: int) -> str:
-        """Label the event context subsequent mutations run under.
-
-        Returns the previous label so nested contexts (an autoscaler tick
-        inside a departure dispatch, a migration inside a drain) can
-        restore it.  The serial cluster needs nothing here; the sharded
-        executor uses the label to attribute speculation rollbacks to a
-        conflict class (DESIGN.md §9).
-        """
-        return ""
 
     # -- fault-side plumbing ----------------------------------------------------------
 

@@ -11,10 +11,6 @@ bounded blackout window, ``AdmissionConfig.migration_cost_ps``), and every
 move is traced and counted through :class:`~repro.fleet.metrics
 .FleetMetrics`.
 
-This replaces the ad-hoc mutation paths of earlier releases:
-``FleetCluster.crash_node`` and ``FleetService.apply_node_crash`` are now
-deprecated thin wrappers over :meth:`FleetOps.crash`.
-
 Verbs can be invoked directly (``service.ops.drain("node1")``) or
 scheduled inside the serving loop's simulated time
 (``service.schedule_op(at_ps, "drain", node_name="node1")``) — the loop
@@ -167,27 +163,6 @@ class FleetOps:
         service = self.service
         now = self._now(now)
         cluster = service.cluster
-        # Conflict-class attribution: everything this verb emits (the
-        # checkpoint, the source eviction, the destination placement) runs
-        # under the "migration" label, then the enclosing context — e.g.
-        # the "autoscale" of an autoscaler-driven drain — is restored.
-        previous_label = cluster.note_event("migration", now)
-        try:
-            return self._migrate(
-                tenant_name, now=now, destination=destination
-            )
-        finally:
-            cluster.note_event(previous_label, now)
-
-    def _migrate(
-        self,
-        tenant_name: str,
-        *,
-        now: int,
-        destination: Optional[str],
-    ) -> MigrationOutcome:
-        service = self.service
-        cluster = service.cluster
         source = cluster.tenant_nodes.get(tenant_name)
         if source is None:
             raise UnknownTenantError(tenant_name, "in the fleet")
@@ -332,8 +307,7 @@ class FleetOps:
     def crash(self, node_name: str, *, now: Optional[int] = None) -> CrashReport:
         """Crash a node; re-place or cleanly fail every displaced session.
 
-        The relocated body of the old ``FleetService.apply_node_crash``:
-        displacement rides the typed evict/place contract, and every
+        Displacement rides the typed evict/place contract, and every
         resolution is a :class:`~repro.fleet.outcomes.Resolution` value.
         """
         service = self.service

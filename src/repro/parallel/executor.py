@@ -8,16 +8,11 @@ stacks live in shard worker processes:
 * the coordinator answers every control-plane read from its
   :class:`~repro.parallel.shadow.ShadowCluster` bookkeeping (no IPC on
   the serving loop's hot path);
-* every mutation is emitted as an op into a per-shard buffer and flushed
-  asynchronously as binary frames (:mod:`repro.parallel.opstream`),
-  stamped with the epoch it belongs to.  With ``lookahead == 0`` a
-  flush happens at every epoch boundary (the conservative protocol);
-  with ``lookahead = K`` flushes coalesce up to K epochs per frame
-  *and* the coordinator grants shard workers permission to run granted
-  evictions up to K epochs ahead of the serving clock
-  (:mod:`repro.parallel.speculate`) — committed by suppression when the
-  speculated departure arrives on schedule, unwound by a typed rollback
-  op travelling ahead of any conflicting truth in the same FIFO stream;
+* every mutation is emitted as an op into a per-shard buffer, stamped
+  with the epoch it belongs to, and flushed asynchronously as one binary
+  frame per shard (:mod:`repro.parallel.opstream`) at every epoch
+  boundary — a shard advances only up to the next event from outside
+  it, and nothing it does is ever undone;
 * observation points (:meth:`gather`, :meth:`merge_traces`,
   :meth:`close`) are the only barriers; :meth:`gather` is memoized on
   the op stream (three summary surfaces cost one round trip) and ships
@@ -27,22 +22,27 @@ Because all admission/placement/fault *decisions* are taken against the
 shadow — which replicates the provider's slot selection and the node
 health machine exactly, and is verified op-by-op by the workers — serve
 results, metric summaries, traces, and chaos envelopes are byte-identical
-to a serial run by construction, at any ``(shards, lookahead)``.
+to a serial run by construction, at any shard count.
+
+Every synchronous wait watches the worker's process sentinel beside its
+ack pipe, and op pipes are write-only on the coordinator side, so a
+worker that dies mid-run surfaces as a :class:`~repro.errors
+.ShardWorkerError` naming the shard instead of a hang.
 
 :class:`ShardedFleetService` is the drop-in serving loop: a
 :class:`~repro.fleet.admission.FleetService` whose epoch hook forwards
-the clock (and itself, for speculation-window scans) to the cluster and
-whose serve() ends with a verification barrier + trace merge.
+the clock to the cluster and whose serve() ends with a verification
+barrier + trace merge.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.library import FpgaConfiguration
-from repro.errors import ConfigurationError, UnknownTenantError
+from repro.errors import ConfigurationError, ShardWorkerError, UnknownTenantError
 from repro.fleet.admission import FleetService
 from repro.fleet.cluster import DEFAULT_TEMPLATES
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
@@ -50,31 +50,21 @@ from repro.parallel.opstream import FrameEncoder, OpStreamStats
 from repro.parallel.pool import fork_context
 from repro.parallel.shadow import ShadowCluster, ShadowNode
 from repro.parallel.shard import shard_worker_main
-from repro.parallel.speculate import SpeculationController, conflict_class
 from repro.telemetry.tracer import current_tracer
-
-#: With coalescing enabled, ship a frame early once this many ops have
-#: buffered — bounds worker idle time behind one oversized frame.
-COALESCE_OP_LIMIT = 64
 
 
 class _Shard:
     """Coordinator-side handle of one worker process."""
 
-    __slots__ = (
-        "index",
-        "process",
-        "op_queue",
-        "ack_queue",
-        "buffer",
-        "encoder",
-    )
+    __slots__ = ("index", "node_names", "process", "ops", "acks", "buffer", "encoder")
 
-    def __init__(self, index: int, process, op_queue, ack_queue) -> None:
+    def __init__(self, index: int, node_names, process, ops, acks) -> None:
         self.index = index
+        self.node_names: Tuple[str, ...] = tuple(node_names)
         self.process = process
-        self.op_queue = op_queue
-        self.ack_queue = ack_queue
+        #: Write end of the op pipe, read end of the ack pipe.
+        self.ops = ops
+        self.acks = acks
         #: Ops accumulated since the last flush: (node, epoch, op, payload).
         self.buffer: List[Tuple[int, int, str, tuple]] = []
         #: Stateful binary codec for this stream (epoch delta chain +
@@ -92,28 +82,14 @@ class ShardedFleetCluster(ShadowCluster):
         shards: int,
         params=None,
         max_oversub: int = DEFAULT_MAX_OVERSUB,
-        lookahead: int = 0,
-        codec: str = "binary",
     ) -> None:
         if shards < 1:
             raise ConfigurationError("need at least one shard")
-        if lookahead < 0:
-            raise ConfigurationError("lookahead must be >= 0")
-        if codec not in ("binary", "pickle"):
-            raise ConfigurationError(f"unknown op-stream codec {codec!r}")
         n_nodes = len(specs)
         self.shards = min(shards, n_nodes)
-        self.lookahead = lookahead
-        self._codec = codec
         self._closed = False
         self._epoch_ps = 0
-        self._epochs_since_flush = 0
-        self._service = None
-        self._event_context = ""
-        self._speculation = SpeculationController(lookahead)
         self._stats = OpStreamStats()
-        self._stats.codec = codec
-        self._stats.lookahead = lookahead
         #: Memoized :meth:`gather` result; invalidated by any op emission.
         self._gather_cache: Optional[Dict[int, Dict[str, object]]] = None
         #: Per-node folded metric snapshots (delta-gather accumulator).
@@ -135,8 +111,8 @@ class ShardedFleetCluster(ShadowCluster):
         for index, (name, slots) in enumerate(specs):
             assignments[index % self.shards].append((index, name, tuple(slots)))
         for shard_index, descs in enumerate(assignments):
-            op_queue = context.SimpleQueue()
-            ack_queue = context.SimpleQueue()
+            op_reader, op_writer = context.Pipe(duplex=False)
+            ack_reader, ack_writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=shard_worker_main,
                 args=(
@@ -146,15 +122,27 @@ class ShardedFleetCluster(ShadowCluster):
                     max_oversub,
                     self._tracer is not None,
                     self._first_pid,
-                    op_queue,
-                    ack_queue,
-                    codec,
+                    op_reader,
+                    ack_writer,
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard_index}",
             )
             process.start()
-            self._shards.append(_Shard(shard_index, process, op_queue, ack_queue))
+            # Keep only our ends: with the worker holding the sole op
+            # reader, a write to a dead worker fails instead of filling
+            # the pipe and blocking forever.
+            op_reader.close()
+            ack_writer.close()
+            self._shards.append(
+                _Shard(
+                    shard_index,
+                    (name for _index, name, _slots in descs),
+                    process,
+                    op_writer,
+                    ack_reader,
+                )
+            )
 
         # Workers build their nodes concurrently; collect pid maps.
         self._owner: Dict[int, _Shard] = {}
@@ -162,13 +150,18 @@ class ShardedFleetCluster(ShadowCluster):
         for shard, descs in zip(self._shards, assignments):
             for index, _name, _slots in descs:
                 self._owner[index] = shard
-        for shard in self._shards:
-            kind, worker_index, pid_by_node, error = shard.ack_queue.get()
-            assert kind == "built"
-            if error is not None:
-                self.close()
-                raise RuntimeError(f"shard {worker_index} failed to build:\n{error}")
-            self._pid_maps[worker_index] = pid_by_node
+        try:
+            for shard in self._shards:
+                kind, worker_index, pid_by_node, error = self._recv(shard)
+                assert kind == "built"
+                if error is not None:
+                    raise RuntimeError(
+                        f"shard {worker_index} failed to build:\n{error}"
+                    )
+                self._pid_maps[worker_index] = pid_by_node
+        except BaseException:
+            self.close()
+            raise
 
         nodes = [
             ShadowNode(
@@ -191,8 +184,6 @@ class ShardedFleetCluster(ShadowCluster):
         templates: Optional[Sequence[Sequence[str]]] = None,
         params=None,
         max_oversub: int = DEFAULT_MAX_OVERSUB,
-        lookahead: int = 0,
-        codec: str = "binary",
     ) -> "ShardedFleetCluster":
         """Same fleet :meth:`FleetCluster.build` produces, sharded S ways."""
         if n_nodes < 1:
@@ -201,137 +192,31 @@ class ShardedFleetCluster(ShadowCluster):
         specs = [
             (f"node{i}", templates[i % len(templates)]) for i in range(n_nodes)
         ]
-        return cls(
-            specs,
-            shards=shards,
-            params=params,
-            max_oversub=max_oversub,
-            lookahead=lookahead,
-            codec=codec,
-        )
-
-    # -- speculation-aware epoch contract ------------------------------------
-
-    def note_event(self, kind: str, now: int) -> str:
-        """Record the event context ops are being emitted under.
-
-        Conflict-class attribution for rollbacks (DESIGN.md §9): the
-        serving loop labels each dispatched event; nested operations
-        (autoscaler ticks, migrations) refine the label and restore the
-        previous one, which this returns.
-        """
-        previous = self._event_context
-        self._event_context = kind
-        return previous
+        return cls(specs, shards=shards, params=params, max_oversub=max_oversub)
 
     def opstream_stats(self) -> Dict[str, object]:
-        """The op-stream/speculation ledger for this run (side channel:
-        never part of a result envelope — ``--shards``/``--lookahead``
-        are execution details)."""
+        """The op-stream ledger for this run (side channel: never part of
+        a result envelope — ``--shards`` is an execution detail)."""
         return self._stats.to_dict()
 
     # -- op stream ----------------------------------------------------------
 
     def _emit(self, node_index: int, op: Tuple[str, tuple]) -> None:
-        shard = self._owner[node_index]
         name, payload = op
         self._gather_cache = None
-        if self._speculation.active:
-            verdict = self._speculation.intercept(
-                node_index, name, payload, self._epoch_ps
-            )
-            if verdict is not None:
-                what, tenants = verdict
-                if what == "commit":
-                    # The worker already applied this eviction at grant
-                    # time; arriving on schedule, it commits by omission.
-                    self._stats.commits += 1
-                    return
-                self._issue_rollback(
-                    shard,
-                    node_index,
-                    tenants,
-                    conflict_class(self._event_context),
-                )
-        shard.buffer.append((node_index, self._epoch_ps, name, payload))
+        self._owner[node_index].buffer.append(
+            (node_index, self._epoch_ps, name, payload)
+        )
 
-    def _issue_rollback(
-        self,
-        shard: _Shard,
-        node_index: int,
-        tenants: Tuple[str, ...],
-        reason: str,
-    ) -> None:
-        """Unwind ``tenants``' speculative evictions on one node.
-
-        Grants whose ``spec_evict`` is still sitting in the unflushed
-        buffer are scrubbed in place (the worker never saw them); the
-        rest get a ``spec_rollback`` op that travels ahead of whatever
-        conflicting op the caller emits next.
-        """
-        scrubbed = set()
-        doomed = set(tenants)
-        kept = []
-        for entry in shard.buffer:
-            if (
-                entry[0] == node_index
-                and entry[2] == "spec_evict"
-                and entry[3][0] in doomed
-                and entry[3][0] not in scrubbed
-            ):
-                scrubbed.add(entry[3][0])
-                continue
-            kept.append(entry)
-        shard.buffer = kept
-        self._stats.scrubbed += len(scrubbed)
-        shipped = tuple(t for t in tenants if t not in scrubbed)
-        if shipped:
-            shard.buffer.append(
-                (node_index, self._epoch_ps, "spec_rollback", (shipped,))
-            )
-            self._stats.record_rollback(reason, len(shipped))
-
-    def _rollback_outstanding(self, reason: str) -> None:
-        """Cancel every outstanding grant (observation-point safety: a
-        granted departure is a *future* event the serial loop has not
-        processed, so no observed state may include its effects)."""
-        for node_index in self._speculation.nodes_with_grants():
-            tenants = self._speculation.cancel_node(node_index)
-            if tenants:
-                self._issue_rollback(
-                    self._owner[node_index], node_index, tenants, reason
-                )
-                self._gather_cache = None
-
-    def advance_epoch(self, epoch_ps: int, *, service=None) -> None:
-        """The fleet clock moved: flush completed epochs' ops.
-
-        ``service`` (passed by :class:`ShardedFleetService`) is what the
-        speculation grant scan reads the event heap through; without it
-        lookahead degrades gracefully to coalesced-flush-only.
-        """
-        if service is not None:
-            self._service = service
+    def advance_epoch(self, epoch_ps: int) -> None:
+        """The fleet clock moved: flush the completed epoch's ops."""
         if epoch_ps == self._epoch_ps:
             return
         self._epoch_ps = epoch_ps
-        self._epochs_since_flush += 1
-        if self.lookahead == 0 or self._epochs_since_flush >= self.lookahead:
-            self.flush()
-        elif any(len(s.buffer) >= COALESCE_OP_LIMIT for s in self._shards):
-            self.flush()
+        self.flush()
 
-    def flush(self, *, grant: bool = True) -> None:
-        """Grant safe speculation, then ship buffered ops (no barrier).
-
-        Observation points pass ``grant=False``: they have just rolled
-        back (or are about to inspect) speculative state, and granting in
-        the same breath could re-speculate the very eviction they
-        cancelled — e.g. re-evicting a tenant one op before its
-        checkpoint round-trip.  Grants only ride epoch-advance flushes.
-        """
-        if grant:
-            self._grant_speculation()
+    def flush(self) -> None:
+        """Ship every shard's buffered ops as one frame each (no barrier)."""
         shipped = False
         for shard in self._shards:
             if shard.buffer:
@@ -339,43 +224,44 @@ class ShardedFleetCluster(ShadowCluster):
                 shipped = True
         if shipped:
             self._stats.flushes += 1
-        self._epochs_since_flush = 0
-
-    def _grant_speculation(self) -> None:
-        if self.lookahead <= 0 or self._service is None or self._closed:
-            return
-        for node_index, tenant, depart_ps in self._speculation.eligible(
-            self._service, self
-        ):
-            self._speculation.grant(node_index, tenant, depart_ps)
-            shard = self._owner[node_index]
-            shard.buffer.append((node_index, depart_ps, "spec_evict", (tenant,)))
-            self._stats.grants += 1
-            self._gather_cache = None
 
     def _ship(self, shard: _Shard) -> None:
         batch = shard.buffer
         shard.buffer = []
-        if self._codec == "binary":
-            payload: object = shard.encoder.encode(batch)
-            self._stats.frame_bytes += len(payload)  # type: ignore[arg-type]
-        else:  # legacy pickle codec, kept selectable for honest benches
-            payload = batch
-            self._stats.frame_bytes += len(
-                pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        shard.op_queue.put(("ops", payload))
+        frame = shard.encoder.encode(batch)
+        self._send(shard, ("ops", frame))
+        self._stats.frame_bytes += len(frame)
         self._stats.messages += 1
         self._stats.frames += 1
         self._stats.ops += len(batch)
 
     def _post(self, shard: _Shard, message: tuple) -> None:
-        shard.op_queue.put(message)
+        self._send(shard, message)
         self._stats.messages += 1
+
+    def _send(self, shard: _Shard, message: tuple) -> None:
+        try:
+            shard.ops.send(message)
+        except OSError:
+            raise self._worker_died(shard) from None
+
+    def _recv(self, shard: _Shard):
+        """Next ack from ``shard``, or :class:`ShardWorkerError` if the
+        worker died first (its sentinel fires, or its pipe hits EOF)."""
+        if shard.acks in wait([shard.acks, shard.process.sentinel]):
+            try:
+                return shard.acks.recv()
+            except EOFError:
+                pass
+        raise self._worker_died(shard)
+
+    def _worker_died(self, shard: _Shard) -> ShardWorkerError:
+        shard.process.join(timeout=5)
+        return ShardWorkerError(shard.index, shard.node_names, shard.process.exitcode)
 
     def _await_ack(self, shard: _Shard):
         start = time.perf_counter()
-        ack = shard.ack_queue.get()
+        ack = self._recv(shard)
         self._stats.barrier_stall_s += time.perf_counter() - start
         self._stats.stall_waits += 1
         return ack
@@ -384,24 +270,14 @@ class ShardedFleetCluster(ShadowCluster):
         """Quiesce + serialize one resident guest on its owning worker.
 
         A synchronous round-trip to a *single* shard (the one owning the
-        tenant's node).  Outstanding grants on that node are rolled back
-        first (the worker may have speculatively evicted the very guest
-        being checkpointed), pending ops flushed, and SimpleQueue
+        tenant's node).  Pending ops are flushed first, and the op pipe
         preserves order, so the worker applies every earlier mutation
         before serializing.
         """
         node = self.tenant_nodes.get(tenant_name)
         if node is None:
             raise UnknownTenantError(tenant_name, "in the fleet")
-        tenants = self._speculation.cancel_node(node.index)
-        if tenants:
-            self._issue_rollback(
-                self._owner[node.index],
-                node.index,
-                tenants,
-                conflict_class(self._event_context or "migration"),
-            )
-        self.flush(grant=False)
+        self.flush()
         self._gather_cache = None
         shard = self._owner[node.index]
         self._post(shard, ("checkpoint", "ckpt", node.index, tenant_name))
@@ -419,8 +295,7 @@ class ShardedFleetCluster(ShadowCluster):
         Raises with the worker's traceback if any op failed or any
         placement diverged from the shadow's prediction.
         """
-        self._rollback_outstanding("observation")
-        self.flush(grant=False)
+        self.flush()
         errors: List[str] = []
         for shard in self._shards:
             self._post(shard, ("sync", token))
@@ -443,16 +318,11 @@ class ShardedFleetCluster(ShadowCluster):
         surfaces back-to-back) cost one round trip total.  Metric
         snapshots arrive as deltas against the previous gather and are
         folded into the coordinator's accumulator.
-
-        The legacy pickle codec deliberately reproduces the old
-        protocol end to end — no memoization, full snapshots — so
-        benches comparing the codecs compare whole protocols.
         """
-        if self._codec == "binary" and self._gather_cache is not None:
+        if self._gather_cache is not None:
             self._stats.gather_cache_hits += 1
             return self._gather_cache
-        self._rollback_outstanding("observation")
-        self.flush(grant=False)
+        self.flush()
         self._stats.gathers += 1
         reports: Dict[int, Dict[str, object]] = {}
         errors: List[str] = []
@@ -520,8 +390,7 @@ class ShardedFleetCluster(ShadowCluster):
         renumbered into the reserved pid block (serial pid order)."""
         if self._tracer is None:
             return
-        self._rollback_outstanding("observation")
-        self.flush(grant=False)
+        self.flush()
         for shard in self._shards:
             self._post(shard, ("trace", "trace"))
         for shard in self._shards:
@@ -543,20 +412,24 @@ class ShardedFleetCluster(ShadowCluster):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop every worker; idempotent.  Pending ops are flushed first."""
+        """Stop every worker; idempotent.  Pending ops are flushed first;
+        a worker that already died is skipped, not waited on."""
         if self._closed:
             return
         self._closed = True
-        if getattr(self, "_shards", None):
-            self._rollback_outstanding("observation")
-        for shard in getattr(self, "_shards", []):
-            if shard.buffer:
-                self._ship(shard)
-            self._post(shard, ("exit",))
-        for shard in getattr(self, "_shards", []):
+        for shard in self._shards:
+            try:
+                if shard.buffer:
+                    self._ship(shard)
+                self._post(shard, ("exit",))
+            except ShardWorkerError:
+                pass
+        for shard in self._shards:
             shard.process.join(timeout=10)
             if shard.process.is_alive():  # pragma: no cover - defensive
                 shard.process.terminate()
+            shard.ops.close()
+            shard.acks.close()
 
     def __enter__(self) -> "ShardedFleetCluster":
         return self
@@ -569,11 +442,9 @@ class ShardedFleetService(FleetService):
     """The serving loop over a :class:`ShardedFleetCluster`.
 
     Identical control flow to :class:`FleetService` (it *is* one); the
-    epoch hook forwards the fleet clock — and the service itself, whose
-    event heap is what the speculation grant scan reads — to the
-    cluster so completed epochs' ops stream to the shards while the
-    loop keeps running, and serve() ends with one verification barrier
-    + trace merge.
+    epoch hook forwards the fleet clock to the cluster so completed
+    epochs' ops stream to the shards while the loop keeps running, and
+    serve() ends with one verification barrier + trace merge.
     """
 
     def __init__(self, cluster: ShardedFleetCluster, policy, **kwargs) -> None:
@@ -584,7 +455,7 @@ class ShardedFleetService(FleetService):
         super().__init__(cluster, policy, **kwargs)
 
     def _advance_epoch(self, now: int) -> None:
-        self.cluster.advance_epoch(now, service=self)
+        self.cluster.advance_epoch(now)
 
     def serve(self, requests) -> "ServeResult":  # noqa: F821 - parent type
         result = super().serve(requests)

@@ -1,10 +1,10 @@
 """Binary framing + accounting for the coordinator -> shard op stream.
 
-The conservative protocol shipped every op batch as a pickled list of
-``(node, epoch, op, payload)`` tuples.  Pickle is general but expensive
-for what is, in practice, a tiny closed vocabulary of hot ops whose
-payloads are a couple of short strings and small ints.  This module
-packs a batch into one compact binary frame:
+Every op batch the coordinator flushes is a list of ``(node, epoch, op,
+payload)`` tuples.  Pickle is general but expensive for what is, in
+practice, a tiny closed vocabulary of hot ops whose payloads are a
+couple of short strings and small ints.  This module packs a batch into
+one compact binary frame:
 
 * frame header: varint op count;
 * per op: op code (u8), varint global node index, zigzag-varint epoch
@@ -30,15 +30,14 @@ packs a batch into one compact binary frame:
 Because the codec is stateful per stream, each coordinator-side shard
 handle owns a :class:`FrameEncoder` and each worker owns the matching
 :class:`FrameDecoder`; frames must be decoded in ship order, which the
-SimpleQueue FIFO already guarantees.  The layout is an IPC detail
+op pipe's FIFO already guarantees.  The layout is an IPC detail
 between one coordinator and the workers it forked; it is never
 persisted, so there is no versioning story beyond "both ends run the
 same build".
 
-:class:`OpStreamStats` is the coordinator-side ledger the new bench
-columns and the CI proxy gate read: messages/frames/bytes shipped,
-speculation outcomes (grants, commits, rollbacks by conflict class),
-gather round-trips vs cache hits, and barrier-stall accounting.
+:class:`OpStreamStats` is the coordinator-side ledger the bench columns
+and the CI proxy gate read: messages/frames/bytes shipped, gather
+round-trips vs cache hits, and barrier-stall accounting.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ OP_RECOVER = 6
 OP_RESTORE = 7
 OP_DEGRADE = 8
 OP_BUMP_AUDITOR = 9
-OP_SPEC_EVICT = 10
-OP_SPEC_ROLLBACK = 11
-OP_PLACE_OVERSUB = 12
+OP_PLACE_OVERSUB = 10
 OP_PICKLE = 0xFF
 
 _NULLARY_BY_NAME = {
@@ -129,10 +126,6 @@ class FrameEncoder:
                 code = OP_PLACE_OVERSUB if payload[3] else OP_PLACE
             elif op == "evict":
                 code = OP_EVICT
-            elif op == "spec_evict":
-                code = OP_SPEC_EVICT
-            elif op == "spec_rollback":
-                code = OP_SPEC_ROLLBACK
             elif op == "degrade":
                 code = OP_DEGRADE
             elif op == "bump_auditor":
@@ -148,13 +141,8 @@ class FrameEncoder:
                 self._string(tenant_name)
                 self._string(accel_type)
                 self._varint(physical_index)
-            elif code in (OP_EVICT, OP_SPEC_EVICT):
+            elif code == OP_EVICT:
                 self._string(payload[0])
-            elif code == OP_SPEC_ROLLBACK:
-                tenants = payload[0]
-                self._varint(len(tenants))
-                for tenant_name in tenants:
-                    self._string(tenant_name)
             elif code == OP_DEGRADE:
                 self.parts.append(_F64.pack(payload[0]))
             elif code == OP_BUMP_AUDITOR:
@@ -242,13 +230,6 @@ class FrameDecoder:
             elif code == OP_EVICT:
                 payload = (self._string(),)
                 op = "evict"
-            elif code == OP_SPEC_EVICT:
-                payload = (self._string(),)
-                op = "spec_evict"
-            elif code == OP_SPEC_ROLLBACK:
-                n_tenants = self._varint()
-                payload = (tuple(self._string() for _ in range(n_tenants)),)
-                op = "spec_rollback"
             elif code == OP_DEGRADE:
                 payload = (self._f64(),)
                 op = "degrade"
@@ -286,31 +267,20 @@ def decode_frame(data: bytes) -> List[BufferedOp]:
 class OpStreamStats:
     """Coordinator-side accounting for one sharded run.
 
-    Everything except the wall-clock stall timers is deterministic for a
-    fixed (trace, shards, lookahead) triple, which is what lets CI gate
-    on these numbers instead of on noisy 1-CPU timings.
+    Everything except the wall-clock stall timer is deterministic for a
+    fixed (trace, shards) pair, which is what lets CI gate on these
+    numbers instead of on noisy 1-CPU timings.
     """
 
     def __init__(self) -> None:
-        self.codec = "binary"
-        self.lookahead = 0
-        #: Every queue put (op frames + control messages).
+        #: Every pipe send (op frames + control messages).
         self.messages = 0
         #: "ops" messages only.
         self.frames = 0
-        #: Encoded op-frame payload bytes (for the legacy pickle codec,
-        #: the pickled batch size — the honest like-for-like number).
+        #: Encoded op-frame payload bytes.
         self.frame_bytes = 0
         self.ops = 0
         self.flushes = 0
-        #: Speculation ledger.
-        self.grants = 0
-        self.commits = 0
-        self.rollbacks = 0
-        self.rollbacks_by_class: Dict[str, int] = {}
-        #: Grants cancelled while their spec_evict was still buffered
-        #: (scrubbed before ever reaching a worker; no rollback op needed).
-        self.scrubbed = 0
         #: Observation-point accounting.
         self.gathers = 0
         self.gather_cache_hits = 0
@@ -319,28 +289,5 @@ class OpStreamStats:
         #: synchronous acks the coordinator waited on.
         self.stall_waits = 0
 
-    def record_rollback(self, conflict_class: str, grants: int) -> None:
-        self.rollbacks += grants
-        self.rollbacks_by_class[conflict_class] = (
-            self.rollbacks_by_class.get(conflict_class, 0) + grants
-        )
-
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "codec": self.codec,
-            "lookahead": self.lookahead,
-            "messages": self.messages,
-            "frames": self.frames,
-            "frame_bytes": self.frame_bytes,
-            "ops": self.ops,
-            "flushes": self.flushes,
-            "grants": self.grants,
-            "commits": self.commits,
-            "rollbacks": self.rollbacks,
-            "rollbacks_by_class": dict(sorted(self.rollbacks_by_class.items())),
-            "scrubbed": self.scrubbed,
-            "gathers": self.gathers,
-            "gather_cache_hits": self.gather_cache_hits,
-            "barrier_stall_s": self.barrier_stall_s,
-            "stall_waits": self.stall_waits,
-        }
+        return dict(vars(self))

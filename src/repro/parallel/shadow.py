@@ -25,7 +25,6 @@ loop touch; they are plain bookkeeping with no simulation imports.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.library import FpgaConfiguration
@@ -342,16 +341,6 @@ class ShadowCluster:
         node.uncordon()
         return node
 
-    def crash_node(self, name: str) -> List[EvictedPlacement]:
-        warnings.warn(
-            "FleetCluster.crash_node is deprecated; use FleetOps.crash "
-            "(service.ops.crash) so displaced sessions are resolved through "
-            "the typed fleet-operations API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._crash_node(name)
-
     def _crash_node(self, name: str) -> List[EvictedPlacement]:
         node = self.node(name)
         displaced = []
@@ -368,15 +357,6 @@ class ShadowCluster:
 
     def health_report(self) -> Dict[str, str]:
         return {node.name: node.health.value for node in self.nodes}
-
-    def note_event(self, kind: str, now: int) -> str:
-        """Event-context label hook (see ``FleetCluster.note_event``).
-
-        The plain shadow needs nothing; :class:`~repro.parallel.executor
-        .ShardedFleetCluster` overrides this to attribute speculation
-        rollbacks to conflict classes.
-        """
-        return ""
 
     # -- fault-side plumbing -------------------------------------------------------
 

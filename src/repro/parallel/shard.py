@@ -3,29 +3,20 @@
 One worker process per shard.  At startup it builds the *real*
 :class:`~repro.fleet.node.FleetNode` stacks for the node indices it owns
 (platform synthesis is the expensive part of a fleet build, so N nodes
-across S shards build in parallel), then loops over operation batches the
-coordinator's shadow bookkeeping emitted:
+across S shards build in parallel), then loops over the binary op frames
+(:mod:`repro.parallel.opstream`) the coordinator's shadow bookkeeping
+emitted:
 
 ``place / evict / restore_tenant / cordon / uncordon / crash / recover /
-degrade / restore / bump_auditor`` — plus the speculation pair
-``spec_evict`` (apply a granted eviction early, after snapshotting the
-undo state) and ``spec_rollback`` (reinstate named speculative evictions,
-newest first, verifying the rebuilt guests digest identically).
+degrade / restore / bump_auditor``
 
-Op batches arrive either as plain lists (legacy pickle codec) or as
-binary frames (:mod:`repro.parallel.opstream`); each op is stamped with
-the epoch (simulated fleet time) it belongs to and applied strictly in
-emission order per node — the same order the serial serving loop would
-have applied them.  ``place`` ops carry the shadow's *predicted* slot and
-oversubscription flag; the worker verifies the real provider agrees and
-reports any divergence at the next barrier, so a bookkeeping bug fails
-the run loudly instead of silently skewing results.
-
-A regular op at epoch t retires undo entries granted at epochs <= t
-(their departures have committed coordinator-side by suppression); an
-undo entry still live *past* a regular op is a protocol violation and
-fails the run — the coordinator's rollback is guaranteed to travel ahead
-of any conflicting op in the same FIFO stream.
+Each op is stamped with the epoch (simulated fleet time) it belongs to
+and applied strictly in emission order per node — the same order the
+serial serving loop would have applied them.  ``place`` ops carry the
+shadow's *predicted* slot and oversubscription flag; the worker verifies
+the real provider agrees and reports any divergence at the next barrier,
+so a bookkeeping bug fails the run loudly instead of silently skewing
+results.
 
 Tracing: a forked worker inherits the coordinator's installed tracer
 *object*, which must not be written to (its events would be lost and the
@@ -38,10 +29,9 @@ into the pid block it reserved (see ``Tracer.reserve_pids``/``ingest``).
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.parallel.opstream import FrameDecoder
-from repro.parallel.speculate import capture_eviction_undo, reinstate_eviction
 
 
 def shard_worker_main(
@@ -51,18 +41,16 @@ def shard_worker_main(
     max_oversub: int,
     tracing: bool,
     first_pid: int,
-    op_queue,
-    ack_queue,
-    codec: str = "binary",
+    ops,
+    acks,
 ) -> None:  # pragma: no cover - runs in a forked subprocess
     """Entry point of one shard worker process.
 
     ``node_descs`` is ``[(global_index, name, slots), ...]`` in global
-    node order.  Messages on ``op_queue``:
+    node order.  Messages received on the ``ops`` connection:
 
-    * ``("ops", frame_bytes_or_list)`` — apply a batch of
-      ``(global_index, epoch_ps, op, payload)`` ops; binary frames are
-      decoded via :func:`repro.parallel.opstream.decode_frame`
+    * ``("ops", frame)`` — decode one binary frame and apply its
+      ``(global_index, epoch_ps, op, payload)`` ops in order
     * ``("checkpoint", token, global_index, tenant_name)`` — quiesce and
       serialize one resident guest; ack ``("checkpoint", worker_index,
       token, checkpoint_or_None, errors)``
@@ -72,21 +60,18 @@ def shard_worker_main(
     * ``("trace", token)`` — export the local tracer's events, once
     * ``("exit",)`` — leave the loop
 
-    The worker never raises out of the loop: failures are captured and
-    surfaced through the next ``sync``/``gather`` ack so the coordinator
-    can raise with the worker's traceback attached.
+    Acks go back on the ``acks`` connection.  The worker never raises out
+    of the loop: failures are captured and surfaced through the next
+    ``sync``/``gather`` ack so the coordinator can raise with the
+    worker's traceback attached.
     """
     from repro.fleet.node import FleetNode, NodeSpec
-    from repro.hv.checkpoint import IncrementalCheckpointer
     from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
     local_tracer = None
     errors: List[str] = []
     nodes: Dict[int, object] = {}
     pid_by_node: Dict[int, int] = {}
-    #: Per-node speculative-eviction undo log, in application order.
-    undo_logs: Dict[int, List[object]] = {}
-    checkpointer = IncrementalCheckpointer()
     #: Last metric snapshot shipped per node (delta-gather baseline).
     last_metrics: Dict[int, Dict[str, object]] = {}
     #: Stateful binary codec for this stream, mirroring the
@@ -114,73 +99,20 @@ def shard_worker_main(
             if local_tracer is not None:
                 scope = node.provider.platform.engine.trace
                 pid_by_node[global_index] = scope.pid if scope is not None else 0
-        ack_queue.put(("built", worker_index, pid_by_node, None))
+        acks.send(("built", worker_index, pid_by_node, None))
     except BaseException:
-        ack_queue.put(("built", worker_index, {}, traceback.format_exc()))
+        acks.send(("built", worker_index, {}, traceback.format_exc()))
         return
 
-    def retire_committed(global_index: int, epoch_ps: int) -> None:
-        """Drop undo entries whose grants have committed (epoch <= now).
-
-        Any entry still live after that proves the coordinator let a
-        regular op overtake an unresolved grant — a protocol bug.
-        """
-        log = undo_logs.get(global_index)
-        if not log:
-            return
-        live = []
-        for undo in log:
-            if undo.grant_epoch <= epoch_ps:
-                checkpointer.forget(undo.vaccel.vaccel_id)
-            else:
-                live.append(undo)
-        log[:] = live
-        if log:
-            raise RuntimeError(
-                f"speculation protocol violation on node {global_index}: "
-                f"regular op at epoch {epoch_ps} with unresolved grants at "
-                f"epochs {[u.grant_epoch for u in log]}"
-            )
-
-    def drain_undo_logs() -> None:
-        """A barrier/gather means every outstanding grant was resolved
-        coordinator-side; surviving entries are committed leftovers."""
-        for log in undo_logs.values():
-            for undo in log:
-                checkpointer.forget(undo.vaccel.vaccel_id)
-            log.clear()
-
     while True:
-        message = op_queue.get()
+        message = ops.recv()
         kind = message[0]
         if kind == "exit":
             return
         if kind == "ops":
-            batch = message[1]
-            if isinstance(batch, (bytes, bytearray)):
-                batch = decoder.decode(batch)
-            for global_index, epoch_ps, op, payload in batch:
+            for global_index, epoch_ps, op, payload in decoder.decode(message[1]):
                 try:
-                    if op == "spec_evict":
-                        tenant_name = payload[0]
-                        undo = capture_eviction_undo(
-                            nodes[global_index],
-                            tenant_name,
-                            epoch_ps,
-                            checkpointer,
-                        )
-                        nodes[global_index].evict(tenant_name)
-                        undo_logs.setdefault(global_index, []).append(undo)
-                    elif op == "spec_rollback":
-                        _rollback(
-                            nodes[global_index],
-                            undo_logs.get(global_index, []),
-                            payload[0],
-                            checkpointer,
-                        )
-                    else:
-                        retire_committed(global_index, epoch_ps)
-                        _apply(nodes[global_index], op, payload)
+                    _apply(nodes[global_index], op, payload)
                 except BaseException:
                     errors.append(
                         f"node {global_index} op {op}{payload!r} at epoch "
@@ -196,22 +128,16 @@ def shard_worker_main(
                     f"node {global_index} checkpoint of {tenant_name!r}:\n"
                     f"{traceback.format_exc()}"
                 )
-            ack_queue.put(
-                ("checkpoint", worker_index, token, checkpoint, list(errors))
-            )
+            acks.send(("checkpoint", worker_index, token, checkpoint, list(errors)))
         elif kind == "sync":
-            drain_undo_logs()
-            ack_queue.put(("sync", worker_index, message[1], list(errors)))
+            acks.send(("sync", worker_index, message[1], list(errors)))
         elif kind == "gather":
-            drain_undo_logs()
             reports = {}
             try:
                 for global_index, node in nodes.items():
                     snapshot = node.provider.platform.metrics.snapshot()
                     previous = last_metrics.get(global_index)
-                    if previous is None or codec == "pickle":
-                        # The legacy codec reproduces the old protocol:
-                        # every gather ships the full snapshot.
+                    if previous is None:
                         shipped: tuple = ("full", snapshot)
                     else:
                         changed = {
@@ -230,26 +156,10 @@ def shard_worker_main(
                     }
             except BaseException:
                 errors.append(traceback.format_exc())
-            ack_queue.put(("gather", worker_index, message[1], reports, list(errors)))
+            acks.send(("gather", worker_index, message[1], reports, list(errors)))
         elif kind == "trace":
             events = local_tracer.export_events() if local_tracer is not None else []
-            ack_queue.put(("trace", worker_index, message[1], events, list(errors)))
-
-
-def _rollback(node, log: List[object], tenant_names, checkpointer) -> None:
-    """Reinstate the named speculative evictions, newest first."""
-    names = set(tenant_names)
-    doomed = [u for u in log if u.tenant_name in names]
-    if len(doomed) != len(names):
-        missing = names - {u.tenant_name for u in doomed}
-        raise RuntimeError(
-            f"rollback of unknown speculative evictions on {node.name}: "
-            f"{sorted(missing)}"
-        )
-    log[:] = [u for u in log if u.tenant_name not in names]
-    for undo in reversed(doomed):
-        reinstate_eviction(node, undo)
-        checkpointer.forget(undo.vaccel.vaccel_id)
+            acks.send(("trace", worker_index, message[1], events, list(errors)))
 
 
 def _apply(node, op: str, payload: tuple) -> None:

@@ -285,9 +285,7 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
         if sharded:
             from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
-            cluster = ShardedFleetCluster.build(
-                nodes, shards=2, lookahead=int(f.get("lookahead", 0))
-            )
+            cluster = ShardedFleetCluster.build(nodes, shards=2)
             service_cls = ShardedFleetService
         else:
             cluster = FleetCluster.build(nodes)

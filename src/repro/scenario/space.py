@@ -331,12 +331,6 @@ register_kind(ScenarioKind(
         Choice("autoscale_standby", (0, 1)),
         Choice("drain_node", ("none", "node1")),
         Choice("drain_at_ms", (2, 4)),
-        # Speculative-lookahead depth of the sharded arm (0 = the
-        # conservative per-epoch protocol).  Results must be identical
-        # at any depth, so fuzzing it differentially covers the grant /
-        # commit / rollback machinery against every drawn fault plan,
-        # drain, and autoscale combination.
-        Choice("lookahead", (0, 2, 8)),
     ),
     constraints=(_fleet_targets_exist,),
 ))

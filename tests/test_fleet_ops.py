@@ -171,13 +171,6 @@ class TestFleetOpsVerbs:
         finally:
             uninstall_tracer()
 
-    def test_deprecated_shims_warn_and_delegate(self):
-        cluster, service, _generator = make_fleet(2)
-        with pytest.warns(DeprecationWarning):
-            service.apply_node_crash("node0", 0)
-        with pytest.warns(DeprecationWarning):
-            cluster.crash_node("node1")
-
     def test_op_observer_receives_typed_reports(self):
         # The serving loop discards scheduled-verb reports; op_observer is
         # the supported way to see them (the fuzz oracle records migration

@@ -8,7 +8,11 @@ counts and seeds, plus unit-test the pieces (worker pool, dispatch
 heuristic, epoch engine entry point, shadow verification plumbing).
 """
 
+import contextlib
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -201,10 +205,8 @@ CHAOS_ARGS = (
 )
 
 
-#: The sharded execution matrix every envelope must survive unchanged:
-#: conservative per-epoch streaming and speculative lookahead, at both
-#: shard counts.
-SHARD_MATRIX = [(2, 0), (2, 2), (3, 0), (3, 8)]
+#: The shard counts every envelope must survive unchanged.
+SHARD_MATRIX = [2, 3]
 
 
 class TestShardedByteIdentity:
@@ -212,10 +214,9 @@ class TestShardedByteIdentity:
     def test_fleet_envelope_identical_across_shard_counts(self, capsys, seed):
         code, serial = run_cli(capsys, *FLEET_ARGS, "--seed", str(seed))
         assert code == 0
-        for shards, lookahead in SHARD_MATRIX:
+        for shards in SHARD_MATRIX:
             code, sharded = run_cli(
-                capsys, *FLEET_ARGS, "--seed", str(seed),
-                "--shards", str(shards), "--lookahead", str(lookahead),
+                capsys, *FLEET_ARGS, "--seed", str(seed), "--shards", str(shards)
             )
             assert code == 0
             assert sharded == serial  # byte-identical, not just equivalent
@@ -224,10 +225,9 @@ class TestShardedByteIdentity:
     def test_chaos_envelope_identical_across_shard_counts(self, capsys, seed):
         code, serial = run_cli(capsys, *CHAOS_ARGS, "--seed", str(seed))
         assert code == 0
-        for shards, lookahead in SHARD_MATRIX:
+        for shards in SHARD_MATRIX:
             code, sharded = run_cli(
-                capsys, *CHAOS_ARGS, "--seed", str(seed),
-                "--shards", str(shards), "--lookahead", str(lookahead),
+                capsys, *CHAOS_ARGS, "--seed", str(seed), "--shards", str(shards)
             )
             assert code == 0
             assert sharded == serial
@@ -252,7 +252,7 @@ class TestShardedByteIdentity:
         try:
             code, sharded = run_cli(
                 capsys, "fleet", "--nodes", "1", "--requests", "24",
-                "--json", "--shards", "4", "--lookahead", "8",
+                "--json", "--shards", "4",
             )
         finally:
             executor.ShardedFleetCluster.__init__ = original
@@ -268,7 +268,7 @@ class TestShardedByteIdentity:
         assert all("simulated_ps" in report for report in nodes.values())
 
 
-def _serve_traced(shards, *, seed, with_faults, lookahead=0):
+def _serve_traced(shards, *, seed, with_faults):
     from repro.faults import resolve_plan
     from repro.fleet import (
         FleetCluster,
@@ -284,9 +284,7 @@ def _serve_traced(shards, *, seed, with_faults, lookahead=0):
         if shards > 1:
             from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
-            cluster = ShardedFleetCluster.build(
-                3, shards=shards, lookahead=lookahead
-            )
+            cluster = ShardedFleetCluster.build(3, shards=shards)
             service_cls = ShardedFleetService
         else:
             cluster = FleetCluster.build(3)
@@ -319,9 +317,9 @@ class TestShardedTraces:
         serial_trace, serial_summary, serial_snapshot = _serve_traced(
             1, seed=seed, with_faults=with_faults
         )
-        for shards, lookahead in SHARD_MATRIX:
+        for shards in SHARD_MATRIX:
             trace, summary, snapshot = _serve_traced(
-                shards, seed=seed, with_faults=with_faults, lookahead=lookahead
+                shards, seed=seed, with_faults=with_faults
             )
             assert trace == serial_trace
             assert summary == serial_summary
@@ -366,3 +364,114 @@ class TestShardedClusterSurface:
 class _FirstSlotPolicy:
     def choose(self, nodes, accel_type):
         return nodes[0]
+
+
+# -- a dead shard worker fails loudly ------------------------------------------
+
+
+@contextlib.contextmanager
+def _deadline(seconds=30):
+    """Turn a hang into a test failure (SIGALRM in the main thread)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no ShardWorkerError within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _kill_worker_after(monkeypatch, epochs):
+    """SIGKILL shard 0's worker once the fleet clock has advanced
+    ``epochs`` times; returns the kill timestamps (perf_counter)."""
+    from repro.parallel import ShardedFleetCluster
+
+    original = ShardedFleetCluster.advance_epoch
+    calls = []
+    killed = []
+
+    def advance_then_kill(self, epoch_ps):
+        calls.append(epoch_ps)
+        if len(calls) == epochs:
+            os.kill(self._shards[0].process.pid, signal.SIGKILL)
+            killed.append(time.perf_counter())
+        return original(self, epoch_ps)
+
+    monkeypatch.setattr(ShardedFleetCluster, "advance_epoch", advance_then_kill)
+    return killed
+
+
+class TestDeadWorker:
+    def test_killed_worker_raises_a_typed_error_mid_serve(self, monkeypatch):
+        from repro.errors import ShardWorkerError
+        from repro.fleet import TrafficGenerator, TrafficProfile, make_policy
+        from repro.parallel import ShardedFleetCluster, ShardedFleetService
+
+        killed = _kill_worker_after(monkeypatch, 20)
+        with _deadline():
+            with ShardedFleetCluster.build(3, shards=2) as cluster:
+                generator = TrafficGenerator(
+                    TrafficProfile(load=0.85),
+                    fleet_slots=cluster.total_slots,
+                    seed=1,
+                )
+                service = ShardedFleetService(cluster, make_policy("best-fit"))
+                with pytest.raises(ShardWorkerError) as info:
+                    service.serve(generator.generate(120))
+                assert killed, "the serve finished before the kill"
+                assert time.perf_counter() - killed[0] < 5.0
+        error = info.value
+        assert (error.shard, error.nodes, error.exitcode) == (
+            0, ("node0", "node2"), -signal.SIGKILL,
+        )
+        assert "shard worker 0 (nodes node0, node2)" in str(error)
+        assert f"exit code {-signal.SIGKILL}" in str(error)
+
+    @pytest.mark.parametrize("argv", [
+        ("fleet", "--nodes", "4", "--requests", "48"),
+        ("serve", "--quick"),
+        ("chaos", "fleet", "--plan", "single-node-crash", "--requests", "40"),
+    ], ids=["fleet", "serve", "chaos"])
+    def test_cli_exits_2_without_a_traceback(self, capsys, monkeypatch, argv):
+        _kill_worker_after(monkeypatch, 10)
+        with _deadline():
+            code = cli.main([*argv, "--shards", "2", "--json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{argv[0]}: error: shard worker 0 (nodes node0" in err
+        assert f"died with exit code {-signal.SIGKILL}" in err
+        assert "Traceback" not in err
+
+    def test_worker_dying_during_build_raises(self, monkeypatch):
+        from repro.errors import ShardWorkerError
+        from repro.fleet.node import FleetNode
+        from repro.parallel import ShardedFleetCluster
+
+        # Patched before the fork, so only the workers run it.
+        monkeypatch.setattr(FleetNode, "__init__", lambda *a, **k: os._exit(4))
+        with _deadline(), pytest.raises(ShardWorkerError) as info:
+            ShardedFleetCluster.build(2, shards=2)
+        assert (info.value.shard, info.value.exitcode) == (0, 4)
+
+    def test_worker_dying_before_its_ack_raises(self, monkeypatch):
+        import repro.parallel.shard as shard
+        from repro.errors import ShardWorkerError
+        from repro.parallel import ShardedFleetCluster
+
+        def die_slowly(node, op, payload):
+            time.sleep(0.3)  # long enough for the sync to be posted
+            os._exit(3)
+
+        monkeypatch.setattr(shard, "_apply", die_slowly)
+        with _deadline(), ShardedFleetCluster.build(2, shards=2) as cluster:
+            accel = cluster.nodes[0].configuration.slots[0]
+            cluster.place("tenant0", accel, _FirstSlotPolicy())
+            with pytest.raises(ShardWorkerError) as info:
+                cluster.barrier()
+        assert (info.value.shard, info.value.nodes, info.value.exitcode) == (
+            0, ("node0",), 3,
+        )

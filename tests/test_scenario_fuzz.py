@@ -84,7 +84,6 @@ def fleet_scenario(**overrides):
         "autoscale_standby": 1,
         "drain_node": "node1",
         "drain_at_ms": 4,
-        "lookahead": 2,
     }
     fields.update(overrides)
     return Scenario(kind="fleet", fields=fields)
@@ -172,6 +171,22 @@ class TestReproducerFiles:
             Scenario.from_dict({"kind": "fleet", "fields": {"nodes": 99}})
         with pytest.raises(ScenarioSpaceError):
             Scenario.from_dict({"kind": "bogus", "fields": {}})
+
+    def test_replay_rejects_a_retired_field(self, tmp_path, capsys):
+        # Reproducers saved before the fleet kind lost its ``lookahead``
+        # field are rejected cleanly, never half-replayed.
+        from repro import __main__ as cli
+
+        scenario = fleet_scenario().to_dict()
+        scenario["fields"]["lookahead"] = 2
+        path = write_reproducer({"scenario": scenario}, tmp_path / "old.json")
+        with pytest.raises(ScenarioSpaceError, match="lookahead"):
+            replay(path)
+        code = cli.main(["fuzz", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2  # the documented usage/configuration error code
+        assert "fuzz: error:" in err and "'lookahead'" in err
+        assert "Traceback" not in err
 
 
 class TestKnownGoodSeedCorpus:
