@@ -1,5 +1,6 @@
 """Deployment altitude: accelerator library, configurations, placement."""
 
+from repro.cloud.ledger import SlotLedger
 from repro.cloud.library import AcceleratorLibrary, FpgaConfiguration, LibraryEntry
 from repro.cloud.provider import CloudProvider, Tenant
 
@@ -8,5 +9,6 @@ __all__ = [
     "CloudProvider",
     "FpgaConfiguration",
     "LibraryEntry",
+    "SlotLedger",
     "Tenant",
 ]

@@ -16,9 +16,10 @@ synthesis report proving it fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accel.registry import CATALOG, make_job, profile_of
+from repro.cloud.ledger import index_slots
 from repro.errors import ConfigurationError, SynthesisError
 from repro.fpga.synthesis import SynthesisReport, synthesize
 
@@ -74,6 +75,12 @@ class FpgaConfiguration:
 
     slots: List[str]  # accelerator type per physical slot, in order
     report: SynthesisReport = field(repr=False, default=None)  # type: ignore[assignment]
+    _slots_by_type: Dict[str, Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._slots_by_type = index_slots(self.slots)
 
     @classmethod
     def synthesize(
@@ -96,7 +103,7 @@ class FpgaConfiguration:
         return len(self.slots)
 
     def slots_of_type(self, name: str) -> List[int]:
-        return [i for i, slot in enumerate(self.slots) if slot == name]
+        return list(self._slots_by_type.get(name, ()))
 
     def utilization_summary(self) -> Dict[str, float]:
         total = self.report.total

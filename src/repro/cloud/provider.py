@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.cloud.ledger import SlotLedger
 from repro.cloud.library import AcceleratorLibrary, FpgaConfiguration
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError
 from repro.guest.api import GuestAccelerator
 from repro.hv.checkpoint import GuestCheckpoint, restore_guest
 from repro.hv.hypervisor import OptimusHypervisor
@@ -25,15 +26,24 @@ from repro.platform.builder import Platform, build_platform
 from repro.platform.params import PlatformParams
 
 
-@dataclass
+@dataclass(eq=False)
 class Tenant:
-    """One placed customer: their VM, handle, and placement facts."""
+    """One placed customer: their VM, handle, and placement facts.
+
+    Tenants compare by identity: two records are the same tenant only if
+    they are the same object.
+    """
 
     name: str
     accel_type: str
-    physical_index: int
     vaccel: VirtualAccelerator
     handle: GuestAccelerator
+
+    @property
+    def physical_index(self) -> int:
+        """The slot the tenant's virtual accelerator lives on now (it
+        follows live migration, e.g. :meth:`CloudProvider.rebalance`)."""
+        return self.vaccel.physical_index
 
     @property
     def oversubscribed(self) -> bool:
@@ -59,11 +69,11 @@ class CloudProvider:
         )
         self.hypervisor = OptimusHypervisor(self.platform)
         self.tenants: List[Tenant] = []
+        #: Tenants per slot, kept in step with every place, evict, restore
+        #: and migration; the only occupancy model placement reads.
+        self.ledger = SlotLedger(configuration.slots)
 
     # -- placement -----------------------------------------------------------------
-
-    def _occupancy(self, physical_index: int) -> int:
-        return len(self.hypervisor.physical[physical_index].vaccels)
 
     def place(
         self,
@@ -80,32 +90,16 @@ class CloudProvider:
         the least-oversubscribed slot of that type.  Rejected only if the
         configuration carries no slot of the type at all.
         """
-        candidates = self.configuration.slots_of_type(accel_type)
-        if not candidates:
-            raise SchedulerError(
-                f"configuration has no {accel_type!r} slot; "
-                f"available: {sorted(set(self.configuration.slots))}"
-            )
-        physical_index = min(candidates, key=self._occupancy)
-
+        physical_index = self.ledger.pick(accel_type)
         job = self.library.make_job(accel_type, **(job_kwargs or {}))
         vm = self.hypervisor.create_vm(tenant_name, mem_bytes=vm_bytes)
         vaccel = self.hypervisor.create_virtual_accelerator(
             vm, job, physical_index=physical_index
         )
         handle = GuestAccelerator(self.hypervisor, vm, vaccel, window_bytes=window_bytes)
-        tenant = Tenant(
-            name=tenant_name,
-            accel_type=accel_type,
-            physical_index=physical_index,
-            vaccel=vaccel,
-            handle=handle,
+        return self._record(
+            Tenant(name=tenant_name, accel_type=accel_type, vaccel=vaccel, handle=handle)
         )
-        # A tenant who disconnects the handle themselves (e.g. by leaving
-        # a ``with provider.connect(...)`` block) is forgotten here too.
-        handle._on_disconnect = lambda: self._forget(tenant)
-        self.tenants.append(tenant)
-        return tenant
 
     def connect(
         self,
@@ -143,15 +137,9 @@ class CloudProvider:
         its pages land at the original GVAs and the shadow-paging
         hypercalls are replayed against the new IOVA slice.
         """
-        candidates = self.configuration.slots_of_type(checkpoint.accel_type)
-        if not candidates:
-            raise SchedulerError(
-                f"configuration has no {checkpoint.accel_type!r} slot; "
-                f"available: {sorted(set(self.configuration.slots))}"
-            )
         if physical_index is None:
-            physical_index = min(candidates, key=self._occupancy)
-        elif physical_index not in candidates:
+            physical_index = self.ledger.pick(checkpoint.accel_type)
+        elif physical_index not in self.ledger.slots_by_type.get(checkpoint.accel_type, ()):
             raise ConfigurationError(
                 f"slot {physical_index} is not a {checkpoint.accel_type!r} slot"
             )
@@ -160,20 +148,31 @@ class CloudProvider:
             self.hypervisor, checkpoint, job, physical_index=physical_index
         )
         handle = GuestAccelerator.adopt(self.hypervisor, vm, vaccel)
-        tenant = Tenant(
-            name=checkpoint.vm_name,
-            accel_type=checkpoint.accel_type,
-            physical_index=physical_index,
-            vaccel=vaccel,
-            handle=handle,
+        return self._record(
+            Tenant(
+                name=checkpoint.vm_name,
+                accel_type=checkpoint.accel_type,
+                vaccel=vaccel,
+                handle=handle,
+            )
         )
-        handle._on_disconnect = lambda: self._forget(tenant)
+
+    def _record(self, tenant: Tenant) -> Tenant:
+        # A tenant who disconnects the handle themselves (e.g. by leaving
+        # a ``with provider.connect(...)`` block) is forgotten here too.
+        tenant.handle._on_disconnect = lambda: self._forget(tenant)
         self.tenants.append(tenant)
+        self.ledger.add(tenant.physical_index)
         return tenant
 
     def _forget(self, tenant: Tenant) -> None:
-        if tenant in self.tenants:
+        # Identity removal (``Tenant`` has no field-wise ``__eq__``); the
+        # ledger is released only by the call that drops the record.
+        try:
             self.tenants.remove(tenant)
+        except ValueError:
+            return
+        self.ledger.remove(tenant.physical_index)
 
     def evict(self, tenant: Tenant) -> None:
         """Remove a tenant, releasing its slot share and IOVA slice."""
@@ -188,18 +187,19 @@ class CloudProvider:
         Uses live migration; returns how many tenants moved.
         """
         moved = 0
-        for accel_type in set(self.configuration.slots):
-            slots = self.configuration.slots_of_type(accel_type)
+        loads = self.ledger.slot_occupancy
+        for slots in self.ledger.slots_by_type.values():
             while True:
-                loads = {slot: self._occupancy(slot) for slot in slots}
-                busiest = max(slots, key=lambda s: loads[s])
-                idlest = min(slots, key=lambda s: loads[s])
+                busiest = max(slots, key=loads.__getitem__)
+                idlest = min(slots, key=loads.__getitem__)
                 if loads[busiest] - loads[idlest] < 2:
                     break
                 manager = self.hypervisor.physical[busiest]
                 candidates = [va for va in manager.vaccels if va is not manager.current]
                 mover = candidates[0] if candidates else manager.vaccels[0]
                 done = self.hypervisor.migrate_virtual_accelerator(mover, idlest)
+                self.ledger.remove(busiest)
+                self.ledger.add(idlest)
                 self.platform.engine.run_until(
                     done, limit_ps=self.platform.engine.now + self.params.time_slice_ps * 4
                 )

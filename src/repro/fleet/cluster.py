@@ -6,19 +6,24 @@ provider synthesizes different bitstreams for different demand profiles)
 and exposes fleet-level placement: a policy picks the node, the node's
 provider picks the slot with the paper's spatial-then-temporal logic.
 Tenant names are unique fleet-wide so eviction needs no node handle.
+
+:class:`ClusterAccounting` is the node-agnostic part — fleet-wide
+capacity reads, placement through a policy, eviction, cordon and crash —
+shared with the sharded executor's coordinator-side
+:class:`~repro.parallel.shadow.ShadowCluster`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.cloud.provider import Tenant
 from repro.errors import ConfigurationError, UnknownTenantError
 from repro.hv.checkpoint import GuestCheckpoint
 from repro.fleet.node import (
     DEFAULT_MAX_OVERSUB,
     EvictedPlacement,
     FleetNode,
+    NodeAccounting,
     NodeHealth,
     NodeSpec,
 )
@@ -38,41 +43,20 @@ DEFAULT_TEMPLATES: Tuple[Tuple[str, ...], ...] = (
 )
 
 
-class FleetCluster:
+N = TypeVar("N", bound=NodeAccounting)
+
+
+class ClusterAccounting(Generic[N]):
     """An ordered fleet of nodes with fleet-wide tenant bookkeeping."""
 
-    def __init__(self, nodes: Sequence[FleetNode]) -> None:
+    def __init__(self, nodes: Sequence[N]) -> None:
         if not nodes:
             raise ConfigurationError("a fleet needs at least one node")
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate node names: {names}")
-        self.nodes: List[FleetNode] = list(nodes)
-        self.tenant_nodes: Dict[str, FleetNode] = {}
-        self._registry: Optional[MetricRegistry] = None
-
-    @classmethod
-    def build(
-        cls,
-        n_nodes: int,
-        *,
-        templates: Optional[Sequence[Sequence[str]]] = None,
-        params: Optional[PlatformParams] = None,
-        max_oversub: int = DEFAULT_MAX_OVERSUB,
-    ) -> "FleetCluster":
-        """A cluster of ``n_nodes`` cycling through heterogeneous templates."""
-        if n_nodes < 1:
-            raise ConfigurationError("need at least one node")
-        templates = [tuple(t) for t in (templates or DEFAULT_TEMPLATES)]
-        nodes = [
-            FleetNode(
-                NodeSpec.of(f"node{i}", templates[i % len(templates)]),
-                params=params,
-                max_oversub=max_oversub,
-            )
-            for i in range(n_nodes)
-        ]
-        return cls(nodes)
+        self.nodes: List[N] = list(nodes)
+        self.tenant_nodes: Dict[str, N] = {}
 
     # -- fleet-wide capacity ----------------------------------------------------------
 
@@ -83,14 +67,22 @@ class FleetCluster:
     def offered_types(self) -> List[str]:
         types = set()
         for node in self.nodes:
-            types.update(node.spec.slots)
+            types.update(node.ledger.slots_by_type)
         return sorted(types)
 
     def capacity(self, accel_type: str) -> int:
-        return sum(node.capacity(accel_type) for node in self.nodes)
+        return sum(node.ledger.capacity(accel_type) for node in self.nodes)
 
     def occupancy(self, accel_type: str) -> int:
-        return sum(node.occupancy(accel_type) for node in self.nodes)
+        return sum(node.ledger.occupancy(accel_type) for node in self.nodes)
+
+    def occupancy_by_type(self) -> Dict[str, int]:
+        """Resident tenants per offered type, over every node in one pass."""
+        totals: Dict[str, int] = {}
+        for node in self.nodes:
+            for accel_type, count in node.ledger.type_occupancy.items():
+                totals[accel_type] = totals.get(accel_type, 0) + count
+        return totals
 
     @property
     def resident(self) -> int:
@@ -103,7 +95,7 @@ class FleetCluster:
 
     def place(
         self, tenant_name: str, accel_type: str, policy: PlacementPolicy
-    ) -> Optional[Tuple[FleetNode, Tenant]]:
+    ) -> Optional[Tuple[N, object]]:
         """Place a tenant via ``policy``; ``None`` when the fleet is full.
 
         DEAD nodes are invisible to the policy — admission never routes
@@ -138,16 +130,7 @@ class FleetCluster:
             raise UnknownTenantError(tenant_name, "in the fleet")
         return node.evict(tenant_name)
 
-    # -- checkpoint/restore (live migration) -------------------------------------------
-
-    def checkpoint_tenant(self, tenant_name: str) -> GuestCheckpoint:
-        """Quiesce and serialize one tenant wherever it lives in the fleet."""
-        node = self.tenant_nodes.get(tenant_name)
-        if node is None:
-            raise UnknownTenantError(tenant_name, "in the fleet")
-        return node.checkpoint_tenant(tenant_name)
-
-    def restore_tenant(self, node_name: str, checkpoint: GuestCheckpoint) -> Tenant:
+    def restore_tenant(self, node_name: str, checkpoint: GuestCheckpoint):
         """Restore a checkpointed tenant onto the named node."""
         if checkpoint.vm_name in self.tenant_nodes:
             raise ConfigurationError(
@@ -155,24 +138,24 @@ class FleetCluster:
             )
         node = self.node(node_name)
         tenant = node.restore_tenant(checkpoint)
-        self.tenant_nodes[tenant.name] = node
+        self.tenant_nodes[checkpoint.vm_name] = node
         return tenant
 
     # -- node health ------------------------------------------------------------------
 
-    def node(self, name: str) -> FleetNode:
+    def node(self, name: str) -> N:
         for node in self.nodes:
             if node.name == name:
                 return node
         raise ConfigurationError(f"no node {name!r} in the fleet")
 
-    def cordon(self, name: str) -> FleetNode:
+    def cordon(self, name: str) -> N:
         """Exclude a node from new placements; residents keep serving."""
         node = self.node(name)
         node.cordon()
         return node
 
-    def uncordon(self, name: str) -> FleetNode:
+    def uncordon(self, name: str) -> N:
         node = self.node(name)
         node.uncordon()
         return node
@@ -192,9 +175,69 @@ class FleetCluster:
         node.crash()
         return displaced
 
-    def recover_node(self, name: str) -> FleetNode:
+    def recover_node(self, name: str) -> N:
         node = self.node(name)
         node.recover()
+        return node
+
+    def health_report(self) -> Dict[str, str]:
+        return {node.name: node.health.value for node in self.nodes}
+
+    # -- reporting --------------------------------------------------------------------
+
+    def utilization_by_type(self) -> Dict[str, float]:
+        """Instantaneous fleet occupancy over capacity, per type."""
+        report: Dict[str, float] = {}
+        for accel_type in self.offered_types():
+            capacity = self.capacity(accel_type)
+            if capacity:
+                report[accel_type] = self.occupancy(accel_type) / capacity
+        return report
+
+
+class FleetCluster(ClusterAccounting[FleetNode]):
+    """The serial fleet: every node's real OPTIMUS stack in this process."""
+
+    def __init__(self, nodes: Sequence[FleetNode]) -> None:
+        super().__init__(nodes)
+        self._registry: Optional[MetricRegistry] = None
+
+    @classmethod
+    def build(
+        cls,
+        n_nodes: int,
+        *,
+        templates: Optional[Sequence[Sequence[str]]] = None,
+        params: Optional[PlatformParams] = None,
+        max_oversub: int = DEFAULT_MAX_OVERSUB,
+    ) -> "FleetCluster":
+        """A cluster of ``n_nodes`` cycling through heterogeneous templates."""
+        if n_nodes < 1:
+            raise ConfigurationError("need at least one node")
+        templates = [tuple(t) for t in (templates or DEFAULT_TEMPLATES)]
+        nodes = [
+            FleetNode(
+                NodeSpec.of(f"node{i}", templates[i % len(templates)]),
+                params=params,
+                max_oversub=max_oversub,
+            )
+            for i in range(n_nodes)
+        ]
+        return cls(nodes)
+
+    # -- checkpoint/restore (live migration) -------------------------------------------
+
+    def checkpoint_tenant(self, tenant_name: str) -> GuestCheckpoint:
+        """Quiesce and serialize one tenant wherever it lives in the fleet."""
+        node = self.tenant_nodes.get(tenant_name)
+        if node is None:
+            raise UnknownTenantError(tenant_name, "in the fleet")
+        return node.checkpoint_tenant(tenant_name)
+
+    # -- node health ------------------------------------------------------------------
+
+    def recover_node(self, name: str) -> FleetNode:
+        node = super().recover_node(name)
         # Re-register the node's metrics with any held cluster registry:
         # recovery may hand the node a fresh provider/platform stack, and
         # a registry built before the crash would keep reading the dead
@@ -203,9 +246,6 @@ class FleetCluster:
             self._registry.unmount(f"{node.name}.")
             self._registry.mount(f"{node.name}.", node.provider.platform.metrics)
         return node
-
-    def health_report(self) -> Dict[str, str]:
-        return {node.name: node.health.value for node in self.nodes}
 
     # -- fault-side plumbing ----------------------------------------------------------
 
@@ -256,12 +296,3 @@ class FleetCluster:
     def metrics_snapshot(self) -> Dict[str, object]:
         """One flat fleet-wide metric snapshot (``node<i>.<metric>``)."""
         return self.metrics_registry().snapshot()
-
-    def utilization_by_type(self) -> Dict[str, float]:
-        """Instantaneous fleet occupancy over capacity, per type."""
-        report: Dict[str, float] = {}
-        for accel_type in self.offered_types():
-            capacity = self.capacity(accel_type)
-            if capacity:
-                report[accel_type] = self.occupancy(accel_type) / capacity
-        return report

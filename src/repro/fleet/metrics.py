@@ -274,10 +274,11 @@ class FleetMetrics:
             self._capacity = {t: cluster.capacity(t) for t in cluster.offered_types()}
         elapsed = now_ps - self._last_sample_ps
         if elapsed > 0:
+            occupancy = cluster.occupancy_by_type()
+            integral = self._util_integral_ps
             for accel_type in self._capacity:
-                self._util_integral_ps[accel_type] = (
-                    self._util_integral_ps.get(accel_type, 0.0)
-                    + cluster.occupancy(accel_type) * elapsed
+                integral[accel_type] = (
+                    integral.get(accel_type, 0.0) + occupancy[accel_type] * elapsed
                 )
             self._span_ps += elapsed
         self._last_sample_ps = now_ps

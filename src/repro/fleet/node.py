@@ -4,15 +4,20 @@ A node owns a complete OPTIMUS stack — an :class:`FpgaConfiguration`, the
 platform built for it, and the hypervisor — exactly as the single-node
 paper reproduction does.  What the fleet layer adds here is *bookkeeping*:
 per-type capacity, spatial/temporal occupancy, an oversubscription cap,
-and a load figure the placement policies can compare across nodes.
+and a load figure the placement policies can compare across nodes.  All
+of it reads the provider's :class:`~repro.cloud.ledger.SlotLedger` in
+O(1); :class:`NodeAccounting` holds the reads a real node and its
+sharded-executor shadow (:class:`~repro.parallel.shadow.ShadowNode`)
+share.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.cloud.ledger import SlotLedger
 from repro.cloud.library import AcceleratorLibrary, FpgaConfiguration
 from repro.cloud.provider import CloudProvider, Tenant
 from repro.errors import ConfigurationError, SchedulerError, UnknownTenantError
@@ -70,7 +75,78 @@ class NodeSpec:
         return cls(name=name, slots=tuple(slots))
 
 
-class FleetNode:
+class NodeAccounting:
+    """Capacity reads over a node's :class:`SlotLedger`.
+
+    Shared by :class:`FleetNode` and the coordinator-side
+    :class:`~repro.parallel.shadow.ShadowNode`, which provide ``name``
+    and set ``ledger``, ``max_oversub``, ``tenants`` and ``health``.
+    """
+
+    name: str
+    ledger: SlotLedger
+    max_oversub: int
+    tenants: Mapping[str, object]
+    health: NodeHealth
+
+    @property
+    def total_slots(self) -> int:
+        return len(self.ledger.slot_types)
+
+    def capacity(self, accel_type: str) -> int:
+        """Physical slots of ``accel_type`` this node carries."""
+        return self.ledger.capacity(accel_type)
+
+    def headroom(self, accel_type: str) -> int:
+        """Placements still admissible for ``accel_type`` (incl. temporal)."""
+        ledger = self.ledger
+        return self.max_oversub * ledger.capacity(accel_type) - ledger.occupancy(accel_type)
+
+    @property
+    def resident(self) -> int:
+        return len(self.tenants)
+
+    @property
+    def load(self) -> float:
+        """Mean tenants per slot — the policies' least-loaded figure."""
+        total = len(self.ledger.slot_types)
+        return len(self.tenants) / total if total else 0.0
+
+    def affinity(self, accel_type: str) -> float:
+        """How specialized this node is for ``accel_type`` (slot share)."""
+        total = len(self.ledger.slot_types)
+        return self.ledger.capacity(accel_type) / total if total else 0.0
+
+    def can_place(self, accel_type: str, *, oversubscribe: bool = True) -> bool:
+        if self.health is NodeHealth.DEAD:
+            return False
+        ledger = self.ledger
+        capacity = ledger.capacity(accel_type)
+        if capacity == 0:
+            return False
+        if ledger.free(accel_type) > 0:
+            return True
+        return oversubscribe and self.max_oversub * capacity > ledger.occupancy(accel_type)
+
+    def check_admissible(self, tenant_name: str, accel_type: str) -> None:
+        """Raise unless a new ``accel_type`` tenant may join this node."""
+        if tenant_name in self.tenants:
+            raise ConfigurationError(f"tenant {tenant_name!r} already on {self.name}")
+        if not self.can_place(accel_type):
+            raise SchedulerError(
+                f"node {self.name} has no headroom for {accel_type!r}"
+            )
+
+    def utilization_by_type(self) -> Dict[str, float]:
+        """Occupancy over capacity per offered type (can exceed 1.0)."""
+        ledger = self.ledger
+        return {
+            accel_type: ledger.occupancy(accel_type) / ledger.capacity(accel_type)
+            for accel_type in sorted(ledger.slots_by_type)
+        }
+
+
+class FleetNode(NodeAccounting):
     """One FPGA node of the fleet, wrapping a single-device provider."""
 
     def __init__(
@@ -86,6 +162,7 @@ class FleetNode:
         self.spec = spec
         self.configuration = FpgaConfiguration.synthesize(spec.slots, library=library)
         self.provider = CloudProvider(self.configuration, params=params, library=library)
+        self.ledger = self.provider.ledger
         self.max_oversub = max_oversub
         self.tenants: Dict[str, Tenant] = {}
         self.health = NodeHealth.HEALTHY
@@ -103,67 +180,15 @@ class FleetNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FleetNode({self.name!r}, slots={list(self.spec.slots)})"
 
-    # -- capacity accounting ---------------------------------------------------------
-
-    @property
-    def total_slots(self) -> int:
-        return self.configuration.n_slots
-
-    def capacity(self, accel_type: str) -> int:
-        """Physical slots of ``accel_type`` this node carries."""
-        return len(self.configuration.slots_of_type(accel_type))
+    # -- occupancy (O(1) ledger reads) ------------------------------------------------
 
     def occupancy(self, accel_type: str) -> int:
         """Virtual accelerators currently resident on ``accel_type`` slots."""
-        return sum(
-            len(self.provider.hypervisor.physical[i].vaccels)
-            for i in self.configuration.slots_of_type(accel_type)
-        )
+        return self.ledger.occupancy(accel_type)
 
     def free_slots(self, accel_type: str) -> int:
         """Empty physical slots of ``accel_type`` (spatial headroom)."""
-        return sum(
-            1
-            for i in self.configuration.slots_of_type(accel_type)
-            if not self.provider.hypervisor.physical[i].vaccels
-        )
-
-    def headroom(self, accel_type: str) -> int:
-        """Placements still admissible for ``accel_type`` (incl. temporal)."""
-        return self.max_oversub * self.capacity(accel_type) - self.occupancy(accel_type)
-
-    @property
-    def resident(self) -> int:
-        return len(self.tenants)
-
-    @property
-    def load(self) -> float:
-        """Mean tenants per slot — the policies' least-loaded figure."""
-        if not self.total_slots:
-            return 0.0
-        return self.resident / self.total_slots
-
-    def affinity(self, accel_type: str) -> float:
-        """How specialized this node is for ``accel_type`` (slot share)."""
-        if not self.total_slots:
-            return 0.0
-        return self.capacity(accel_type) / self.total_slots
-
-    def can_place(self, accel_type: str, *, oversubscribe: bool = True) -> bool:
-        if self.health is NodeHealth.DEAD:
-            return False
-        if self.capacity(accel_type) == 0:
-            return False
-        if self.free_slots(accel_type) > 0:
-            return True
-        return oversubscribe and self.headroom(accel_type) > 0
-
-    def utilization_by_type(self) -> Dict[str, float]:
-        """Occupancy over capacity per offered type (can exceed 1.0)."""
-        report: Dict[str, float] = {}
-        for accel_type in sorted(set(self.configuration.slots)):
-            report[accel_type] = self.occupancy(accel_type) / self.capacity(accel_type)
-        return report
+        return self.ledger.free(accel_type)
 
     # -- placement lifecycle -----------------------------------------------------------
 
@@ -176,12 +201,7 @@ class FleetNode:
         vm_bytes: int = 1 * GB,
     ) -> Tenant:
         """Admit one tenant through the node's real provider stack."""
-        if tenant_name in self.tenants:
-            raise ConfigurationError(f"tenant {tenant_name!r} already on {self.name}")
-        if not self.can_place(accel_type):
-            raise SchedulerError(
-                f"node {self.name} has no headroom for {accel_type!r}"
-            )
+        self.check_admissible(tenant_name, accel_type)
         tenant = self.provider.place(
             tenant_name, accel_type, window_bytes=window_bytes, vm_bytes=vm_bytes
         )
@@ -227,14 +247,7 @@ class FleetNode:
 
     def restore_tenant(self, checkpoint: GuestCheckpoint) -> Tenant:
         """Admit a migrated-in tenant from its checkpoint."""
-        if checkpoint.vm_name in self.tenants:
-            raise ConfigurationError(
-                f"tenant {checkpoint.vm_name!r} already on {self.name}"
-            )
-        if not self.can_place(checkpoint.accel_type):
-            raise SchedulerError(
-                f"node {self.name} has no headroom for {checkpoint.accel_type!r}"
-            )
+        self.check_admissible(checkpoint.vm_name, checkpoint.accel_type)
         tenant = self.provider.restore(checkpoint)
         self.tenants[tenant.name] = tenant
         return tenant
@@ -273,7 +286,3 @@ class FleetNode:
             link.restore()
         if self.health is NodeHealth.DEGRADED:
             self.health = NodeHealth.HEALTHY
-
-    def rebalance(self) -> int:
-        """Spread oversubscribed slots via live migration (§7.1 machinery)."""
-        return self.provider.rebalance()

@@ -19,8 +19,10 @@ stacks live in shard worker processes:
   metric *deltas*, not full snapshots.
 
 Because all admission/placement/fault *decisions* are taken against the
-shadow — which replicates the provider's slot selection and the node
-health machine exactly, and is verified op-by-op by the workers — serve
+shadow — which picks slots through the same
+:class:`~repro.cloud.ledger.SlotLedger` rule as the provider, keeps the
+node health machine, and is verified op-by-op by the workers against
+the real hypervisors — serve
 results, metric summaries, traces, and chaos envelopes are byte-identical
 to a serial run by construction, at any shard count.
 

@@ -12,11 +12,13 @@ degrade / restore / bump_auditor``
 
 Each op is stamped with the epoch (simulated fleet time) it belongs to
 and applied strictly in emission order per node — the same order the
-serial serving loop would have applied them.  ``place`` ops carry the
-shadow's *predicted* slot and oversubscription flag; the worker verifies
-the real provider agrees and reports any divergence at the next barrier,
-so a bookkeeping bug fails the run loudly instead of silently skewing
-results.
+serial serving loop would have applied them.  ``place`` and
+``restore_tenant`` ops carry the shadow's *predicted* slot and
+oversubscription flag.  The worker checks them against the real
+hypervisor, and checks that its node's slot-ledger count of every slot
+a place, restore or evict touches equals that slot's run queue.  It
+reports any divergence at the next barrier, so a bookkeeping bug fails
+the run loudly instead of silently skewing results.
 
 Tracing: a forked worker inherits the coordinator's installed tracer
 *object*, which must not be written to (its events would be lost and the
@@ -167,31 +169,16 @@ def _apply(node, op: str, payload: tuple) -> None:
     if op == "place":
         tenant_name, accel_type, predicted_index, predicted_oversub = payload
         tenant = node.place(tenant_name, accel_type)
-        if (
-            tenant.physical_index != predicted_index
-            or tenant.oversubscribed != predicted_oversub
-        ):
-            raise RuntimeError(
-                "shadow bookkeeping diverged from the provider: "
-                f"tenant {tenant_name!r} predicted slot {predicted_index} "
-                f"(oversub={predicted_oversub}), got {tenant.physical_index} "
-                f"(oversub={tenant.oversubscribed})"
-            )
+        _verify(node, f"tenant {tenant_name!r}", tenant,
+                predicted_index, predicted_oversub)
     elif op == "evict":
-        node.evict(payload[0])
+        placement = node.evict(payload[0])
+        _verify_slot(node, placement.physical_index)
     elif op == "restore_tenant":
         checkpoint, predicted_index, predicted_oversub = payload
         tenant = node.restore_tenant(checkpoint)
-        if (
-            tenant.physical_index != predicted_index
-            or tenant.oversubscribed != predicted_oversub
-        ):
-            raise RuntimeError(
-                "shadow bookkeeping diverged from the provider: "
-                f"restored tenant {checkpoint.vm_name!r} predicted slot "
-                f"{predicted_index} (oversub={predicted_oversub}), got "
-                f"{tenant.physical_index} (oversub={tenant.oversubscribed})"
-            )
+        _verify(node, f"restored tenant {checkpoint.vm_name!r}", tenant,
+                predicted_index, predicted_oversub)
     elif op == "cordon":
         node.cordon()
     elif op == "uncordon":
@@ -211,3 +198,32 @@ def _apply(node, op: str, payload: tuple) -> None:
             monitor.auditors[physical_index].counters.bump(key, count)
     else:  # pragma: no cover - protocol bug
         raise RuntimeError(f"unknown shard op {op!r}")
+
+
+def _verify(node, label: str, tenant, predicted_index: int,
+            predicted_oversub: bool) -> None:
+    """The shadow's predicted slot and oversubscription flag must match
+    what the real hypervisor did."""
+    if (
+        tenant.physical_index != predicted_index
+        or tenant.oversubscribed != predicted_oversub
+    ):
+        raise RuntimeError(
+            "shadow bookkeeping diverged from the provider: "
+            f"{label} predicted slot {predicted_index} "
+            f"(oversub={predicted_oversub}), got {tenant.physical_index} "
+            f"(oversub={tenant.oversubscribed})"
+        )
+    _verify_slot(node, predicted_index)
+
+
+def _verify_slot(node, index: int) -> None:
+    """The node's ledger count of a touched slot must equal the real
+    hypervisor's run queue on it."""
+    counted = node.ledger.slot_occupancy[index]
+    resident = len(node.provider.hypervisor.physical[index].vaccels)
+    if counted != resident:
+        raise RuntimeError(
+            f"slot ledger diverged from the hypervisor on slot {index}: "
+            f"ledger {counted}, resident {resident}"
+        )

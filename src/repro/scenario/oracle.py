@@ -269,7 +269,20 @@ def _run_burst(scenario: Scenario) -> OracleResult:
 # -- fleet: serial vs sharded serving loop ---------------------------------------
 
 
-def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
+def _ledger_failures(cluster, arm: str) -> List[str]:
+    """Slot ledgers against the real stacks: the serial arm's provider
+    ledgers against its hypervisors, the sharded arm's shadow ledgers
+    against the workers' gathered occupancy."""
+    failures = properties.check_ledger(
+        {node.name: node.ledger.slot_occupancy for node in cluster.nodes},
+        cluster.occupancy_report(),
+    )
+    return [f"{arm} arm: {failure}" for failure in failures]
+
+
+def _fleet_arm(
+    scenario: Scenario, sharded: bool, failures: List[str]
+) -> Dict[str, object]:
     from repro.fleet import (
         FleetCluster,
         FleetService,
@@ -280,6 +293,7 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
     f = scenario.fields
     nodes = int(f["nodes"])
+    arm = "sharded" if sharded else "serial"
     cluster = None
     try:
         if sharded:
@@ -306,6 +320,8 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
                     (outcome.tenant, outcome.checkpoint_digest)
                     for outcome in report.migrated
                 )
+                # Mid-run, while tenants are resident.
+                failures.extend(_ledger_failures(cluster, arm))
 
             service.op_observer = record_op
             service.schedule_op(
@@ -326,6 +342,7 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
         }
         if service.autoscaler is not None:
             observables["autoscaler"] = to_jsonable(service.autoscaler.summary())
+        failures.extend(_ledger_failures(cluster, arm))
         return observables
     finally:
         if sharded and cluster is not None:
@@ -334,8 +351,8 @@ def _fleet_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
 def _run_fleet(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _fleet_arm(scenario, sharded=False)
-    sharded = _fleet_arm(scenario, sharded=True)
+    serial = _fleet_arm(scenario, False, result.failures)
+    sharded = _fleet_arm(scenario, True, result.failures)
     _diff(result.failures, "serial vs sharded fleet result", serial, sharded)
     result.failures.extend(
         properties.check_fleet(serial, int(scenario.fields["requests"]))
@@ -350,7 +367,9 @@ def _run_fleet(scenario: Scenario) -> OracleResult:
 # -- serve: serial vs sharded gateway --------------------------------------------
 
 
-def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
+def _serve_arm(
+    scenario: Scenario, sharded: bool, failures: List[str]
+) -> Dict[str, object]:
     from repro.fleet import AdmissionConfig, FleetCluster, make_policy
     from repro.serve import (
         Gateway,
@@ -363,6 +382,7 @@ def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
     f = scenario.fields
     nodes = int(f["nodes"])
+    arm = "sharded" if sharded else "serial"
     cluster = None
     try:
         if sharded:
@@ -393,7 +413,9 @@ def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
             admission=AdmissionConfig(),
             admission_policy=admission_policy,
         )
-        return Gateway(service, trace).run().to_dict()
+        payload = Gateway(service, trace).run().to_dict()
+        failures.extend(_ledger_failures(cluster, arm))
+        return payload
     finally:
         if sharded and cluster is not None:
             cluster.close()
@@ -401,8 +423,8 @@ def _serve_arm(scenario: Scenario, sharded: bool) -> Dict[str, object]:
 
 def _run_serve(scenario: Scenario) -> OracleResult:
     result = OracleResult(scenario)
-    serial = _serve_arm(scenario, sharded=False)
-    sharded = _serve_arm(scenario, sharded=True)
+    serial = _serve_arm(scenario, False, result.failures)
+    sharded = _serve_arm(scenario, True, result.failures)
     _diff(result.failures, "serial vs sharded gateway result", serial, sharded)
     result.failures.extend(properties.check_serve(serial))
     result.observables = serial

@@ -15,7 +15,7 @@ instead of hand-picked ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Sequence
 
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.fleet.outcomes import Outcome
@@ -188,3 +188,25 @@ def check_migrations(serial: List[object], sharded: List[object]) -> List[str]:
             f"sharded {sharded}"
         ]
     return []
+
+
+def check_ledger(ledgers: Mapping[str, Sequence[int]],
+                 occupancy: Mapping[str, Mapping[int, Mapping[str, object]]],
+                 ) -> List[str]:
+    """Every node's slot ledger equals the real stacks' run queues.
+
+    ``ledgers`` maps node name to per-slot tenant counts as the ledger
+    holds them; ``occupancy`` is the cluster's ``occupancy_report()``,
+    read from the real hypervisors (in-process or gathered from shard
+    workers).
+    """
+    failures: List[str] = []
+    for name, counts in ledgers.items():
+        report = occupancy[name]
+        resident = [int(report[index]["oversubscription"]) for index in sorted(report)]
+        if list(counts) != resident:
+            failures.append(
+                f"slot ledger of {name} {list(counts)} != resident "
+                f"tenants per slot {resident}"
+            )
+    return failures

@@ -1,10 +1,13 @@
 """Tests for the cloud-provider layer: library, configurations, placement."""
 
+import random
+
 import pytest
 
 from repro.accel.streaming import REG_LEN, REG_PARAM0, REG_PARAM1, REG_SRC
-from repro.cloud import AcceleratorLibrary, CloudProvider, FpgaConfiguration
+from repro.cloud import AcceleratorLibrary, CloudProvider, FpgaConfiguration, SlotLedger
 from repro.errors import ConfigurationError, SchedulerError, SynthesisError
+from repro.fleet import FleetNode, NodeSpec
 from repro.mem import MB
 from repro.platform import PlatformParams
 from repro.sim.clock import ms, us
@@ -131,7 +134,8 @@ class TestPlacement:
         # t2 doubled up one slot; t3 must land on the other (occupancy
         # 1) rather than stacking a third tenant onto t2's slot.
         assert t3.physical_index != t2.physical_index
-        assert [provider._occupancy(i) for i in (0, 1)] == [2, 2]
+        assert self_occupancies(provider) == [2, 2]
+        assert provider.ledger.slot_occupancy == [2, 2]
 
         # Disconnecting both tenants of one slot frees it for spatial
         # placement again.
@@ -152,3 +156,104 @@ class TestPlacement:
 
 def self_occupancies(provider):
     return [len(m.vaccels) for m in provider.hypervisor.physical[:2]]
+
+
+def hypervisor_occupancies(provider):
+    return [len(m.vaccels) for m in provider.hypervisor.physical]
+
+
+class TestRebalanceFollowsMigration:
+    def test_tenant_slot_follows_its_migrated_vaccel(self):
+        node = FleetNode(NodeSpec.of("n0", ("AES", "AES", "SHA")))
+        for name in "ABCD":
+            node.place(name, "AES")
+        node.evict("B")
+        node.evict("D")
+        assert hypervisor_occupancies(node.provider) == [2, 0, 0]
+
+        assert node.provider.rebalance() == 1
+        tenant = node.tenants["A"]
+        assert tenant.vaccel.physical_index == 1
+        assert tenant.physical_index == 1
+        assert not tenant.oversubscribed
+        assert node.provider.ledger.slot_occupancy == [1, 1, 0]
+        assert hypervisor_occupancies(node.provider) == [1, 1, 0]
+
+        placement = node.evict("A")
+        assert placement.physical_index == 1
+        assert node.provider.ledger.slot_occupancy == [1, 0, 0]
+        assert hypervisor_occupancies(node.provider) == [1, 0, 0]
+
+
+class TestTenantIdentity:
+    def test_evict_removes_the_given_record_only(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB", "MB"]))
+        first = provider.place("same", "MB", window_bytes=16 * MB)
+        second = provider.place("same", "MB", window_bytes=16 * MB)
+        assert first != second
+        provider.evict(second)
+        assert provider.tenants == [first]
+        assert provider.tenants[0] is first
+        assert provider.ledger.slot_occupancy == hypervisor_occupancies(provider)
+
+    def test_self_disconnect_releases_the_slot_once(self):
+        provider = CloudProvider(FpgaConfiguration.synthesize(["MB"]))
+        tenant = provider.place("t", "MB", window_bytes=16 * MB)
+        tenant.handle.disconnect()
+        tenant.handle.disconnect()
+        assert provider.tenants == []
+        assert provider.ledger.slot_occupancy == [0]
+        with pytest.raises(ConfigurationError):
+            provider.evict(tenant)
+        assert provider.ledger.slot_occupancy == [0]
+
+
+def reference_pick(slots, occupancy, accel_type):
+    """The placement rule as the provider wrote it before the ledger."""
+    candidates = [i for i, slot in enumerate(slots) if slot == accel_type]
+    return min(candidates, key=lambda i: occupancy[i])
+
+
+class TestSlotLedger:
+    SLOTS = ("AES", "SHA", "AES", "MB", "AES", "SHA")
+
+    def test_counts_start_empty(self):
+        ledger = SlotLedger(self.SLOTS)
+        assert ledger.slots_by_type == {"AES": (0, 2, 4), "SHA": (1, 5), "MB": (3,)}
+        assert ledger.capacity("AES") == 3
+        assert ledger.capacity("LL") == 0
+        assert ledger.free("AES") == 3
+        assert ledger.occupancy("AES") == 0
+        assert ledger.occupancy("LL") == 0 and ledger.free("LL") == 0
+
+    def test_pick_rejects_an_absent_type(self):
+        with pytest.raises(SchedulerError, match="no 'LL' slot"):
+            SlotLedger(self.SLOTS).pick("LL")
+
+    def test_remove_from_an_empty_slot_is_an_error(self):
+        ledger = SlotLedger(self.SLOTS)
+        with pytest.raises(ConfigurationError):
+            ledger.remove(0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pick_and_counts_match_a_rescan(self, seed):
+        rng = random.Random(seed)
+        ledger = SlotLedger(self.SLOTS)
+        occupancy = [0] * len(self.SLOTS)
+        resident = []
+        for _ in range(400):
+            if resident and rng.random() < 0.45:
+                index = resident.pop(rng.randrange(len(resident)))
+                ledger.remove(index)
+                occupancy[index] -= 1
+            else:
+                accel_type = rng.choice(("AES", "SHA", "MB"))
+                index = ledger.pick(accel_type)
+                assert index == reference_pick(self.SLOTS, occupancy, accel_type)
+                ledger.add(index)
+                occupancy[index] += 1
+                resident.append(index)
+            assert ledger.slot_occupancy == occupancy
+            for accel_type, indices in ledger.slots_by_type.items():
+                assert ledger.occupancy(accel_type) == sum(occupancy[i] for i in indices)
+                assert ledger.free(accel_type) == sum(1 for i in indices if not occupancy[i])

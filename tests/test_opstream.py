@@ -117,11 +117,17 @@ def _summary_bytes(summary) -> str:
 
 class TestAutoscaleDuringChaos:
     def test_sharded_run_matches_serial(self):
-        # Autoscaler evacuations land mid-plan: checkpoints, migrations
-        # and crashes all ride the op stream, interleaved with arrivals.
-        sharded = _chaos_autoscale_run(shards=2)
-        assert sharded == _chaos_autoscale_run(shards=1)
+        # Autoscaler evacuations and a drain land mid-plan: checkpoints,
+        # migrations and crashes all ride the op stream, interleaved with
+        # arrivals.  At the end, every slot ledger (the serial providers',
+        # the coordinator's shadows) equals the real stacks' run queues,
+        # both right after the drain and at run end.
+        sharded, sharded_ledgers = _chaos_autoscale_run(shards=2)
+        serial, serial_ledgers = _chaos_autoscale_run(shards=1)
+        assert sharded == serial
         assert '"migrated_completed"' in sharded, "no evacuation happened"
+        assert '"drains": 1' in sharded, "the drain did not run"
+        assert sharded_ledgers == [] and serial_ledgers == []
 
 
 def _chaos_autoscale_run(*, shards):
@@ -134,6 +140,8 @@ def _chaos_autoscale_run(*, shards):
         TrafficProfile,
         make_policy,
     )
+    from repro.scenario.properties import check_ledger
+    from repro.sim.clock import ms
 
     if shards > 1:
         from repro.parallel import ShardedFleetCluster, ShardedFleetService
@@ -152,16 +160,30 @@ def _chaos_autoscale_run(*, shards):
         service = service_cls(cluster, make_policy("best-fit"))
         service.install_faults(resolve_plan("degrade-crash"))
         service.install_autoscaler(AutoscaleConfig(standby_nodes=("node2",)))
+        service.schedule_op(ms(3), "drain", node_name="node1")
+        problems = []
+
+        def check_ledgers(verb, report, now_ps):
+            # Mid-run, with tenants resident: a non-trivial comparison.
+            ledgers = {n.name: list(n.ledger.slot_occupancy) for n in cluster.nodes}
+            assert sum(map(sum, ledgers.values())) > 0
+            problems.extend(check_ledger(ledgers, cluster.occupancy_report()))
+
+        service.op_observer = check_ledgers
         result = service.serve(generator.generate(60))
-        return _summary_bytes(
+        occupancy = cluster.occupancy_report()
+        ledgers = {node.name: node.ledger.slot_occupancy for node in cluster.nodes}
+        problems.extend(check_ledger(ledgers, occupancy))
+        summary = _summary_bytes(
             {
                 "summary": result.summary(),
                 "outcomes": dict(result.outcomes),
                 "nodes": cluster.simulated_report(),
                 "metrics": cluster.metrics_snapshot(),
-                "occupancy": cluster.occupancy_report(),
+                "occupancy": occupancy,
             }
         )
+        return summary, problems
     finally:
         if shards > 1:
             cluster.close()

@@ -351,9 +351,10 @@ class TestShardedClusterSurface:
             candidates = node.configuration.slots_of_type(accel)
             assert len(candidates) > 1  # default template has two AES slots
             # Corrupt the shadow bookkeeping so it predicts a different
-            # slot than the real provider will pick: mark the lowest-index
-            # candidate occupied, skewing the least-occupied selection.
-            node.slot_occupancy[min(candidates)] += 1
+            # slot than the real provider will pick: count a phantom
+            # tenant on the lowest-index candidate, skewing the
+            # least-occupied selection.
+            node.ledger.add(min(candidates))
             cluster.place("tenant0", accel, _FirstSlotPolicy())
             with pytest.raises(RuntimeError, match="diverged"):
                 cluster.barrier()
