@@ -139,23 +139,23 @@ def bench_observation(shards: int, quick: bool) -> dict:
     """
     from repro.fleet import (
         AdmissionConfig,
+        FleetService,
         TrafficGenerator,
         TrafficProfile,
+        build_cluster,
         make_policy,
     )
-    from repro.parallel import ShardedFleetCluster, ShardedFleetService
 
     n_nodes = 4
     requests = 60 if quick else 160
     rounds = 6 if quick else 12
-    cluster = ShardedFleetCluster.build(n_nodes, shards=shards)
-    try:
+    with build_cluster(n_nodes, shards=shards) as cluster:
         generator = TrafficGenerator(
             TrafficProfile(load=0.9),
             fleet_slots=cluster.total_slots,
             seed=7,
         )
-        service = ShardedFleetService(
+        service = FleetService(
             cluster,
             make_policy("best-fit"),
             admission=AdmissionConfig(queue_limit=16),
@@ -174,8 +174,6 @@ def bench_observation(shards: int, quick: bool) -> dict:
             cluster._gather_cache = None
         probe_s = time.perf_counter() - start
         after = cluster.opstream_stats()
-    finally:
-        cluster.close()
     # Share of the whole observed run (serve + monitoring rounds) spent
     # blocked on worker acks: the denominator includes the serving work
     # a real run does, so the share is meaningful.
@@ -252,7 +250,9 @@ def main() -> None:
             "and cold vs warm, while timing."
         ),
         "sharding": bench_sharding(args.shards, args.quick),
-        "observation": bench_observation(min(args.shards, 2), args.quick),
+        # The observation probe measures the sharded surfaces: always 2
+        # shards, since build_cluster runs one shard serially.
+        "observation": bench_observation(2, args.quick),
         "cache": bench_cache(args.quick),
     }
     Path(args.output).write_text(json.dumps(results, indent=2) + "\n")

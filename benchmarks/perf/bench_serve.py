@@ -43,11 +43,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from repro.experiments import serve_slo  # noqa: E402
 from repro.experiments.cache import install_cache, uninstall_cache  # noqa: E402
-from repro.fleet import FleetCluster, make_policy  # noqa: E402
+from repro.fleet import FleetCluster, build_cluster, make_policy  # noqa: E402
 from repro.serve import (  # noqa: E402
     Gateway,
     GatewayFleetService,
-    GatewayShardedFleetService,
     ServeProfile,
     SloBudgetPolicy,
     synthesize,
@@ -90,32 +89,21 @@ def bench_throughput(quick: bool) -> dict:
 
 
 def bench_sharded(shards: int, quick: bool) -> dict:
-    from repro.parallel import ShardedFleetCluster
-
     sessions = 1_000 if quick else 4_000
     nodes = 4
     _, trace = _build_trace(sessions, nodes)
 
-    start = time.perf_counter()
-    cluster = FleetCluster.build(nodes)
-    service = GatewayFleetService(
-        cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
-    )
-    serial_result = Gateway(service, trace).run().to_dict()
-    serial_s = time.perf_counter() - start
+    def timed_run(shards: int):
+        start = time.perf_counter()
+        with build_cluster(nodes, shards=shards) as cluster:
+            service = GatewayFleetService(
+                cluster, make_policy("best-fit"), admission_policy=SloBudgetPolicy()
+            )
+            result = Gateway(service, trace).run().to_dict()
+        return result, time.perf_counter() - start
 
-    start = time.perf_counter()
-    sharded_cluster = ShardedFleetCluster.build(nodes, shards=shards)
-    try:
-        sharded_service = GatewayShardedFleetService(
-            sharded_cluster,
-            make_policy("best-fit"),
-            admission_policy=SloBudgetPolicy(),
-        )
-        sharded_result = Gateway(sharded_service, trace).run().to_dict()
-    finally:
-        sharded_cluster.close()
-    sharded_s = time.perf_counter() - start
+    serial_result, serial_s = timed_run(1)
+    sharded_result, sharded_s = timed_run(shards)
 
     assert sharded_result == serial_result, "sharded serving run diverged"
     return {

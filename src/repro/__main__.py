@@ -84,11 +84,6 @@ EXPERIMENTS = {
 }
 
 
-# Back-compat alias: the conversion lives in repro.envelope now, shared
-# by every subcommand's --json path.
-_to_jsonable = to_jsonable
-
-
 def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     """Run one experiment; returns ``(ok, result)`` instead of raising.
 
@@ -134,9 +129,7 @@ def _run_one(key: str, jobs: int = 1, *, entry: str = "main"):
     return True, result
 
 
-def _maybe_dump_opstream(
-    args: argparse.Namespace, cluster, sharded: bool
-) -> None:
+def _maybe_dump_opstream(args: argparse.Namespace, cluster) -> None:
     """Write the op-stream ledger to ``--opstream-stats`` (side channel).
 
     The stats file is diagnostic output, never part of a result envelope:
@@ -147,11 +140,8 @@ def _maybe_dump_opstream(
     path = getattr(args, "opstream_stats", None)
     if not path:
         return
-    import json
-
-    stats = cluster.opstream_stats() if sharded else {}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2, sort_keys=True)
+        json.dump(cluster.opstream_stats(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -159,50 +149,38 @@ def _fleet_command(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.fleet import (
         AdmissionConfig,
-        FleetCluster,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
+        build_cluster,
         make_policy,
     )
 
-    # One node (or one shard) degenerates to the serial path: forking a
-    # pool to stream ops to a single worker only adds IPC overhead.
-    sharded = args.shards > 1 and args.nodes > 1
-    cluster = None
     try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-            cluster = ShardedFleetCluster.build(
-                args.nodes, shards=args.shards, max_oversub=args.max_oversub
+        with build_cluster(
+            args.nodes, shards=args.shards, max_oversub=args.max_oversub
+        ) as cluster:
+            generator = TrafficGenerator(
+                TrafficProfile(load=args.load),
+                fleet_slots=cluster.total_slots,
+                seed=args.seed,
             )
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(args.nodes, max_oversub=args.max_oversub)
-            service_cls = FleetService
-        generator = TrafficGenerator(
-            TrafficProfile(load=args.load),
-            fleet_slots=cluster.total_slots,
-            seed=args.seed,
-        )
-        service = service_cls(
-            cluster,
-            make_policy(args.policy),
-            admission=AdmissionConfig(queue_limit=args.queue, max_retries=args.retries),
-        )
-        result = service.serve(generator.generate(args.requests))
-        node_report = cluster.simulated_report()
-        _maybe_dump_opstream(args, cluster, sharded)
+            service = FleetService(
+                cluster,
+                make_policy(args.policy),
+                admission=AdmissionConfig(
+                    queue_limit=args.queue, max_retries=args.retries
+                ),
+            )
+            result = service.serve(generator.generate(args.requests))
+            node_report = cluster.simulated_report()
+            _maybe_dump_opstream(args, cluster)
     except ReproError as error:
         print(f"fleet: error: {error}", file=sys.stderr)
         return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
     if args.json:
-        results = _to_jsonable(result.summary())
-        results["nodes"] = _to_jsonable(node_report)
+        results = to_jsonable(result.summary())
+        results["nodes"] = to_jsonable(node_report)
         # ``--shards`` is an execution detail, not a parameter: results are
         # byte-identical at any shard count, so it stays out of the envelope.
         emit_envelope(
@@ -236,12 +214,11 @@ def _fleet_command(args: argparse.Namespace) -> int:
 def _serve_command(args: argparse.Namespace) -> int:
     """Replay (or synthesize) a session trace through the serving gateway."""
     from repro.errors import ReproError
-    from repro.fleet import AdmissionConfig, FleetCluster, make_policy
+    from repro.fleet import AdmissionConfig, build_cluster, make_policy
     from repro.serve import (
         ArrivalTrace,
         Gateway,
         GatewayFleetService,
-        GatewayShardedFleetService,
         ServeProfile,
         SloBudgetPolicy,
         synthesize,
@@ -251,55 +228,42 @@ def _serve_command(args: argparse.Namespace) -> int:
         800 if args.quick else 2000
     )
     nodes = args.nodes if args.nodes is not None else (2 if args.quick else 3)
-    sharded = args.shards > 1 and nodes > 1
-    cluster = None
     try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster
-
-            cluster = ShardedFleetCluster.build(nodes, shards=args.shards)
-            service_cls = GatewayShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = GatewayFleetService
-        if args.trace_file:
-            trace = ArrivalTrace.load(args.trace_file)
-        else:
-            trace = synthesize(
-                ServeProfile(
-                    load=args.load,
-                    followup_prob=args.followup,
-                    diurnal_amplitude=args.diurnal,
-                    burst_prob=args.burst,
-                ),
-                sessions=sessions,
-                fleet_slots=cluster.total_slots,
-                seed=args.seed,
+        with build_cluster(nodes, shards=args.shards) as cluster:
+            if args.trace_file:
+                trace = ArrivalTrace.load(args.trace_file)
+            else:
+                trace = synthesize(
+                    ServeProfile(
+                        load=args.load,
+                        followup_prob=args.followup,
+                        diurnal_amplitude=args.diurnal,
+                        burst_prob=args.burst,
+                    ),
+                    sessions=sessions,
+                    fleet_slots=cluster.total_slots,
+                    seed=args.seed,
+                )
+            if args.save_trace:
+                path = trace.write_json(args.save_trace)
+                print(f"serve: wrote trace {path}", file=sys.stderr)
+            admission_policy = (
+                SloBudgetPolicy() if args.admission == "slo-budget" else None
             )
-        if args.save_trace:
-            path = trace.write_json(args.save_trace)
-            print(f"serve: wrote trace {path}", file=sys.stderr)
-        admission_policy = (
-            SloBudgetPolicy() if args.admission == "slo-budget" else None
-        )
-        service = service_cls(
-            cluster,
-            make_policy(args.policy),
-            admission=AdmissionConfig(
-                queue_limit=args.queue, max_retries=args.retries
-            ),
-            admission_policy=admission_policy,
-        )
-        gateway = Gateway(service, trace)
-        result = gateway.run()
-        _maybe_dump_opstream(args, cluster, sharded)
+            service = GatewayFleetService(
+                cluster,
+                make_policy(args.policy),
+                admission=AdmissionConfig(
+                    queue_limit=args.queue, max_retries=args.retries
+                ),
+                admission_policy=admission_policy,
+            )
+            result = Gateway(service, trace).run()
+            _maybe_dump_opstream(args, cluster)
     except ReproError as error:
         print(f"serve: error: {error}", file=sys.stderr)
         return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
-    results = _to_jsonable(result.to_dict())
+    results = to_jsonable(result.to_dict())
     if args.json:
         # ``--shards`` is an execution detail: envelopes are byte-identical
         # at any shard count, so it stays out of the params block.  The
@@ -439,6 +403,56 @@ def _capacity_command(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_fleet(args: argparse.Namespace, plan) -> dict:
+    """Serve seeded traffic under ``plan``; the ``chaos fleet`` results."""
+    from repro.errors import ReproError
+    from repro.fleet import (
+        AutoscaleConfig,
+        FleetService,
+        TrafficGenerator,
+        TrafficProfile,
+        build_cluster,
+        make_policy,
+    )
+    from repro.sim.clock import ms
+
+    with build_cluster(args.nodes, shards=args.shards) as cluster:
+        generator = TrafficGenerator(
+            TrafficProfile(load=args.load),
+            fleet_slots=cluster.total_slots,
+            seed=args.traffic_seed,
+        )
+        service = FleetService(cluster, make_policy(args.policy))
+        service.install_faults(plan)
+        if args.autoscale:
+            if args.autoscale >= args.nodes:
+                raise ReproError(
+                    f"--autoscale {args.autoscale} must leave at least "
+                    f"one active node (fleet has {args.nodes})"
+                )
+            standby = tuple(
+                f"node{i}" for i in range(args.nodes - args.autoscale, args.nodes)
+            )
+            service.install_autoscaler(AutoscaleConfig(standby_nodes=standby))
+        if args.drain_node:
+            service.schedule_op(
+                ms(args.drain_at_ms), "drain", node_name=args.drain_node
+            )
+        result = service.serve(generator.generate(args.requests))
+        results = {
+            "plan": to_jsonable(plan.to_dict()),
+            "injected": to_jsonable(result.fault_log.summary()),
+            "outcomes": result.outcome_counts(),
+            "availability": result.availability(),
+            "summary": to_jsonable(result.summary()),
+            "nodes": to_jsonable(cluster.simulated_report()),
+        }
+        if service.autoscaler is not None:
+            results["autoscaler"] = to_jsonable(service.autoscaler.summary())
+        _maybe_dump_opstream(args, cluster)
+    return results
+
+
 def _chaos_command(args: argparse.Namespace) -> int:
     """Replay a fault plan and report injected events vs recovery outcomes."""
     import dataclasses
@@ -447,84 +461,22 @@ def _chaos_command(args: argparse.Namespace) -> int:
     from repro.faults import resolve_plan, run_single_chaos
     from repro.sim.clock import ms
 
-    cluster = None
-    sharded = (
-        args.experiment == "fleet" and args.shards > 1 and args.nodes > 1
-    )
     try:
         plan = resolve_plan(args.plan)
         if args.seed is not None:
             plan = dataclasses.replace(plan, seed=args.seed)
         if args.experiment == "fleet":
-            from repro.fleet import (
-                FleetCluster,
-                FleetService,
-                TrafficGenerator,
-                TrafficProfile,
-                make_policy,
-            )
-
-            if sharded:
-                from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-                cluster = ShardedFleetCluster.build(args.nodes, shards=args.shards)
-                service_cls = ShardedFleetService
-            else:
-                cluster = FleetCluster.build(args.nodes)
-                service_cls = FleetService
-            generator = TrafficGenerator(
-                TrafficProfile(load=args.load),
-                fleet_slots=cluster.total_slots,
-                seed=args.traffic_seed,
-            )
-            service = service_cls(cluster, make_policy(args.policy))
-            service.install_faults(plan)
-            if args.autoscale:
-                from repro.fleet import AutoscaleConfig
-
-                if args.autoscale >= args.nodes:
-                    raise ReproError(
-                        f"--autoscale {args.autoscale} must leave at least "
-                        f"one active node (fleet has {args.nodes})"
-                    )
-                standby = tuple(
-                    f"node{i}"
-                    for i in range(args.nodes - args.autoscale, args.nodes)
-                )
-                service.install_autoscaler(
-                    AutoscaleConfig(standby_nodes=standby)
-                )
-            if args.drain_node:
-                service.schedule_op(
-                    ms(args.drain_at_ms), "drain", node_name=args.drain_node
-                )
-            result = service.serve(generator.generate(args.requests))
-            results = {
-                "plan": _to_jsonable(plan.to_dict()),
-                "injected": _to_jsonable(result.fault_log.summary()),
-                "outcomes": result.outcome_counts(),
-                "availability": result.availability(),
-                "summary": _to_jsonable(result.summary()),
-                "nodes": _to_jsonable(cluster.simulated_report()),
-            }
-            if service.autoscaler is not None:
-                results["autoscaler"] = _to_jsonable(
-                    service.autoscaler.summary()
-                )
-            _maybe_dump_opstream(args, cluster, sharded)
+            results = _chaos_fleet(args, plan)
         else:  # single
             report = run_single_chaos(plan, window_ps=ms(args.window_ms))
             results = {
-                "plan": _to_jsonable(plan.to_dict()),
-                "injected": _to_jsonable(report["fault_log"]),
-                "report": _to_jsonable(report),
+                "plan": to_jsonable(plan.to_dict()),
+                "injected": to_jsonable(report["fault_log"]),
+                "report": to_jsonable(report),
             }
     except ReproError as error:
         print(f"chaos: error: {error}", file=sys.stderr)
         return 2
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
     if args.json:
         params = {
             "mode": args.experiment,

@@ -21,10 +21,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.harness import ResultTable, parallel_map
 from repro.fleet import (
     AdmissionConfig,
-    FleetCluster,
     FleetService,
     TrafficGenerator,
     TrafficProfile,
+    build_cluster,
     make_policy,
 )
 from repro.sim.clock import to_seconds
@@ -53,40 +53,28 @@ def serve_fleet(
     the largest fleet in ``NODE_COUNTS``), so every node count faces the
     same absolute offered rate and the same request stream.  With
     ``shards > 1`` the nodes are partitioned across worker processes
-    (:mod:`repro.parallel`); the summary is byte-identical either way.
-    A single node degenerates to the serial path (nothing to partition).
+    (:func:`~repro.fleet.build_cluster`); the summary is byte-identical
+    either way.
     Pass a dict as ``opstream_stats`` to receive the run's op-stream
     ledger (bench side channel, never part of the summary).
     """
     reference_nodes = reference_nodes or max(NODE_COUNTS)
-    sharded = shards > 1 and n_nodes > 1
-    if sharded:
-        from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-        cluster = ShardedFleetCluster.build(
-            n_nodes, shards=shards, max_oversub=max_oversub
-        )
-        service_cls = ShardedFleetService
-    else:
-        cluster = FleetCluster.build(n_nodes, max_oversub=max_oversub)
-        service_cls = FleetService
-    try:
+    with build_cluster(
+        n_nodes, shards=shards, max_oversub=max_oversub
+    ) as cluster:
         generator = TrafficGenerator(
             TrafficProfile(load=load),
             fleet_slots=reference_nodes * SLOTS_PER_NODE,
             seed=seed,
         )
-        service = service_cls(
+        service = FleetService(
             cluster,
             make_policy(policy),
             admission=AdmissionConfig(queue_limit=queue_limit),
         )
         result = service.serve(generator.generate(requests))
-        if opstream_stats is not None and sharded:
+        if opstream_stats is not None:
             opstream_stats.update(cluster.opstream_stats())
-    finally:
-        if sharded:
-            cluster.close()
     summary = result.summary()
     span_s = to_seconds(result.span_ps) or 1.0
     summary["throughput_per_s"] = summary["placements"] / span_s

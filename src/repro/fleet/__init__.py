@@ -41,7 +41,7 @@ from repro.fleet.admission import (
     request_jitter_rng,
 )
 from repro.fleet.autoscale import AutoscaleConfig, Autoscaler
-from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster
+from repro.fleet.cluster import DEFAULT_TEMPLATES, FleetCluster, build_cluster
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.node import EvictedPlacement, FleetNode, NodeHealth, NodeSpec
 from repro.fleet.ops import (
@@ -101,6 +101,7 @@ __all__ = [
     "TenantRequest",
     "TrafficGenerator",
     "TrafficProfile",
+    "build_cluster",
     "make_policy",
     "rejected",
     "request_jitter_rng",

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fleet.cluster import FleetCluster
+from repro.fleet.cluster import ClusterAccounting
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.node import NodeHealth
 from repro.fleet.outcomes import ACCEPTED_OUTCOMES, Outcome, SERVED_OUTCOMES, rejected
@@ -259,7 +259,7 @@ class FleetService:
 
     def __init__(
         self,
-        cluster: FleetCluster,
+        cluster: ClusterAccounting,
         policy: PlacementPolicy,
         *,
         admission: Optional[AdmissionConfig] = None,
@@ -353,12 +353,13 @@ class FleetService:
     def _advance_epoch(self, now: int) -> None:
         """Hook called as the serving clock reaches each event time.
 
-        The serial loop needs nothing here; the sharded executor
-        (:class:`repro.parallel.ShardedFleetService`) overrides it to
-        flush completed epochs' operation batches to the shard workers,
-        and the serving gateway (:mod:`repro.serve.gateway`) uses it as
-        the pacing point that pumps session coroutines.
+        It forwards the clock to the cluster: a serial cluster ignores
+        it, a :class:`repro.parallel.ShardedFleetCluster` flushes the
+        completed epoch's operation batches to its shard workers.  The
+        serving gateway (:mod:`repro.serve.gateway`) extends it as the
+        pacing point that pumps session coroutines.
         """
+        self.cluster.advance_epoch(now)
 
     # -- the serving loop -------------------------------------------------------------
 
@@ -376,6 +377,10 @@ class FleetService:
         # until nothing new enters the heap.
         while self._post_drain():
             self._run_loop()
+        # Everything after this is observation: a sharded cluster waits
+        # for its workers to apply the op stream, verifies them, and folds
+        # their trace events back into this process's tracer.
+        self.cluster.settle()
         return ServeResult(
             metrics=self.metrics,
             requests=self._arrivals,

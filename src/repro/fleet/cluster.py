@@ -9,8 +9,9 @@ Tenant names are unique fleet-wide so eviction needs no node handle.
 
 :class:`ClusterAccounting` is the node-agnostic part — fleet-wide
 capacity reads, placement through a policy, eviction, cordon and crash —
-shared with the sharded executor's coordinator-side
-:class:`~repro.parallel.shadow.ShadowCluster`.
+shared with :class:`~repro.parallel.ShardedFleetCluster`.  Which of the
+two a run gets is decided in one place, :func:`build_cluster`; the
+serving loop drives both through the same epoch/settle/close surface.
 """
 
 from __future__ import annotations
@@ -194,6 +195,27 @@ class ClusterAccounting(Generic[N]):
                 report[accel_type] = self.occupancy(accel_type) / capacity
         return report
 
+    # -- execution lifecycle (no-ops when every node lives in this process) ------------
+
+    def advance_epoch(self, epoch_ps: int) -> None:
+        """The serving clock reached ``epoch_ps``."""
+
+    def settle(self) -> None:
+        """The serving loop finished: make every node's state observable."""
+
+    def opstream_stats(self) -> Dict[str, object]:
+        """The op-stream ledger (side channel; empty when nothing streams)."""
+        return {}
+
+    def close(self) -> None:
+        """Release execution resources; idempotent."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
 
 class FleetCluster(ClusterAccounting[FleetNode]):
     """The serial fleet: every node's real OPTIMUS stack in this process."""
@@ -296,3 +318,29 @@ class FleetCluster(ClusterAccounting[FleetNode]):
     def metrics_snapshot(self) -> Dict[str, object]:
         """One flat fleet-wide metric snapshot (``node<i>.<metric>``)."""
         return self.metrics_registry().snapshot()
+
+
+def build_cluster(
+    n_nodes: int,
+    *,
+    shards: int = 1,
+    templates: Optional[Sequence[Sequence[str]]] = None,
+    params: Optional[PlatformParams] = None,
+    max_oversub: int = DEFAULT_MAX_OVERSUB,
+) -> ClusterAccounting:
+    """The fleet of ``n_nodes``, in this process or across ``shards`` workers.
+
+    One node or one shard runs serially: forking workers to stream ops to
+    a single node only adds IPC.  Either cluster is a context manager and
+    gives byte-identical results.
+    """
+    if shards > 1 and n_nodes > 1:
+        from repro.parallel.executor import ShardedFleetCluster
+
+        return ShardedFleetCluster.build(
+            n_nodes, shards=shards, templates=templates, params=params,
+            max_oversub=max_oversub,
+        )
+    return FleetCluster.build(
+        n_nodes, templates=templates, params=params, max_oversub=max_oversub
+    )

@@ -6,13 +6,14 @@ Three pieces (see DESIGN.md §9):
   ``--jobs`` sweeps, plus the cost heuristic that keeps small cells
   serial;
 * :mod:`repro.parallel.shadow` — coordinator-side bookkeeping twins of
-  the fleet cluster/nodes (every control-plane decision, zero IPC);
+  the fleet nodes (every control-plane decision, zero IPC);
 * :mod:`repro.parallel.executor` + :mod:`repro.parallel.shard` — the
   epoch-batched op stream from shadow to the worker processes owning the
   real per-node platform stacks, with byte-identical results.
 """
 
-from repro.parallel.executor import ShardedFleetCluster, ShardedFleetService
+from repro.fleet.admission import FleetService
+from repro.parallel.executor import ShardedFleetCluster
 from repro.parallel.pool import (
     DISPATCH_OVERHEAD_S,
     MIN_PARALLEL_BUDGET_S,
@@ -21,16 +22,19 @@ from repro.parallel.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.parallel.shadow import ShadowCluster, ShadowNode, ShadowTenant
+from repro.parallel.shadow import ShadowNode, ShadowTenant
+
+# FleetService serves a ShardedFleetCluster directly; this name stays only
+# because the benchmark's workloads import it.  Remove it together with
+# that import at the next benchmark change.
+ShardedFleetService = FleetService
 
 __all__ = [
     "DISPATCH_OVERHEAD_S",
     "MIN_PARALLEL_BUDGET_S",
-    "ShadowCluster",
     "ShadowNode",
     "ShadowTenant",
     "ShardedFleetCluster",
-    "ShardedFleetService",
     "WorkerPool",
     "dispatch_plan",
     "shared_pool",

@@ -6,8 +6,8 @@ the fault injector consume, but behind it the real per-node platform
 stacks live in shard worker processes:
 
 * the coordinator answers every control-plane read from its
-  :class:`~repro.parallel.shadow.ShadowCluster` bookkeeping (no IPC on
-  the serving loop's hot path);
+  :class:`~repro.parallel.shadow.ShadowNode` bookkeeping (no IPC on the
+  serving loop's hot path);
 * every mutation is emitted as an op into a per-shard buffer, stamped
   with the epoch it belongs to, and flushed asynchronously as one binary
   frame per shard (:mod:`repro.parallel.opstream`) at every epoch
@@ -31,10 +31,11 @@ ack pipe, and op pipes are write-only on the coordinator side, so a
 worker that dies mid-run surfaces as a :class:`~repro.errors
 .ShardWorkerError` naming the shard instead of a hang.
 
-:class:`ShardedFleetService` is the drop-in serving loop: a
-:class:`~repro.fleet.admission.FleetService` whose epoch hook forwards
-the clock to the cluster and whose serve() ends with a verification
-barrier + trace merge.
+:class:`~repro.fleet.admission.FleetService` serves this cluster
+unchanged: its epoch hook calls :meth:`ShardedFleetCluster.advance_epoch`
+and its serve() ends with :meth:`ShardedFleetCluster.settle`, the
+verification barrier + trace merge.  :func:`repro.fleet.build_cluster`
+picks this cluster or the serial one.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.library import FpgaConfiguration
 from repro.errors import ConfigurationError, ShardWorkerError, UnknownTenantError
-from repro.fleet.admission import FleetService
-from repro.fleet.cluster import DEFAULT_TEMPLATES
+from repro.fleet.cluster import DEFAULT_TEMPLATES, ClusterAccounting
 from repro.fleet.node import DEFAULT_MAX_OVERSUB
 from repro.parallel.opstream import FrameEncoder, OpStreamStats
 from repro.parallel.pool import fork_context
-from repro.parallel.shadow import ShadowCluster, ShadowNode
+from repro.parallel.shadow import ShadowNode
 from repro.parallel.shard import shard_worker_main
 from repro.telemetry.tracer import current_tracer
 
@@ -74,8 +74,14 @@ class _Shard:
         self.encoder = FrameEncoder()
 
 
-class ShardedFleetCluster(ShadowCluster):
-    """A fleet cluster whose real nodes live in shard worker processes."""
+class ShardedFleetCluster(ClusterAccounting[ShadowNode]):
+    """A fleet cluster whose real nodes live in shard worker processes.
+
+    The serving-loop surface (placement, eviction, node health, capacity
+    queries) comes from :class:`~repro.fleet.cluster.ClusterAccounting`
+    over shadow nodes, whose mutations reach the owning shard through
+    :meth:`_emit`; pure reads stay local and cost no IPC.
+    """
 
     def __init__(
         self,
@@ -291,6 +297,13 @@ class ShardedFleetCluster(ShadowCluster):
             )
         return checkpoint
 
+    def bump_auditor(
+        self, name: str, physical_index: int, key: str, count: int
+    ) -> None:
+        """Forward an auditor-counter bump to the real node's monitor."""
+        node = self.node(name)
+        self._emit(node.index, ("bump_auditor", (physical_index, key, count)))
+
     def barrier(self, token: str = "sync") -> None:
         """Flush, then wait until every shard has applied everything.
 
@@ -413,6 +426,13 @@ class ShardedFleetCluster(ShadowCluster):
 
     # -- lifecycle ----------------------------------------------------------
 
+    def settle(self) -> None:
+        """End of serving: wait for the shards to apply the op stream,
+        verify no divergence, and fold their trace events back into the
+        coordinator's tracer."""
+        self.barrier("serve-end")
+        self.merge_traces()
+
     def close(self) -> None:
         """Stop every worker; idempotent.  Pending ops are flushed first;
         a worker that already died is skipped, not waited on."""
@@ -432,38 +452,3 @@ class ShardedFleetCluster(ShadowCluster):
                 shard.process.terminate()
             shard.ops.close()
             shard.acks.close()
-
-    def __enter__(self) -> "ShardedFleetCluster":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class ShardedFleetService(FleetService):
-    """The serving loop over a :class:`ShardedFleetCluster`.
-
-    Identical control flow to :class:`FleetService` (it *is* one); the
-    epoch hook forwards the fleet clock to the cluster so completed
-    epochs' ops stream to the shards while the loop keeps running, and
-    serve() ends with one verification barrier + trace merge.
-    """
-
-    def __init__(self, cluster: ShardedFleetCluster, policy, **kwargs) -> None:
-        if not isinstance(cluster, ShardedFleetCluster):
-            raise ConfigurationError(
-                "ShardedFleetService needs a ShardedFleetCluster"
-            )
-        super().__init__(cluster, policy, **kwargs)
-
-    def _advance_epoch(self, now: int) -> None:
-        self.cluster.advance_epoch(now)
-
-    def serve(self, requests) -> "ServeResult":  # noqa: F821 - parent type
-        result = super().serve(requests)
-        # Everything after this is observation: wait for the shards to
-        # finish applying the op stream, verify no divergence, and fold
-        # their trace events back into the coordinator's tracer.
-        self.cluster.barrier("serve-end")
-        self.cluster.merge_traces()
-        return result

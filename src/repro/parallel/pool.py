@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -185,10 +184,8 @@ def dispatch_plan(probe_s: float, remaining: int, jobs: int) -> bool:
     Fan out only when the estimated remaining work both exceeds the
     dispatch overhead per cell and adds up to enough total work that the
     pool can win back its coordination cost.  Pure function — unit tested
-    directly; override via ``REPRO_FORCE_JOBS=1`` for benchmarking.
+    directly.
     """
-    if os.environ.get("REPRO_FORCE_JOBS") == "1":
-        return True
     if jobs <= 1 or remaining < 1:
         return False
     if probe_s < DISPATCH_OVERHEAD_S:

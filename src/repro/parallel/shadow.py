@@ -20,9 +20,10 @@ oversubscription flag against the real hypervisor, and the touched
 slot's ledger count against its run queue, so any divergence fails
 loudly instead of silently skewing results.
 
-Shadow classes expose the :class:`FleetNode` / :class:`FleetCluster`
-surfaces the placement policies and the serving loop touch; they hold no
-simulation state.
+Shadow classes expose the :class:`FleetNode` surface the placement
+policies and the serving loop touch; they hold no simulation state.
+:class:`~repro.parallel.executor.ShardedFleetCluster` holds the shadow
+nodes and wires their ``emit`` to its op stream.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.cloud.ledger import SlotLedger
 from repro.cloud.library import FpgaConfiguration
 from repro.errors import ConfigurationError, UnknownTenantError
-from repro.fleet.cluster import ClusterAccounting
 from repro.fleet.node import (
     DEFAULT_MAX_OVERSUB,
     EvictedPlacement,
@@ -185,23 +185,3 @@ class ShadowNode(NodeAccounting):
         if self.health is NodeHealth.DEGRADED:
             self.health = NodeHealth.HEALTHY
         self._emit(self.index, ("restore", ()))
-
-
-class ShadowCluster(ClusterAccounting[ShadowNode]):
-    """Bookkeeping twin of :class:`~repro.fleet.cluster.FleetCluster`.
-
-    The serving-loop surface (placement, eviction, node health, capacity
-    queries) comes from :class:`~repro.fleet.cluster.ClusterAccounting`
-    over :class:`ShadowNode`s.  The executor wires ``emit`` so every
-    mutation reaches the owning shard; pure reads stay local and cost no
-    IPC.
-    """
-
-    # -- fault-side plumbing -------------------------------------------------------
-
-    def bump_auditor(
-        self, name: str, physical_index: int, key: str, count: int
-    ) -> None:
-        """Forward an auditor-counter bump to the real node's monitor."""
-        node = self.node(name)
-        node._emit(node.index, ("bump_auditor", (physical_index, key, count)))

@@ -284,27 +284,18 @@ def _fleet_arm(
     scenario: Scenario, sharded: bool, failures: List[str]
 ) -> Dict[str, object]:
     from repro.fleet import (
-        FleetCluster,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
+        build_cluster,
         make_policy,
     )
 
     f = scenario.fields
     nodes = int(f["nodes"])
     arm = "sharded" if sharded else "serial"
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-            cluster = ShardedFleetCluster.build(nodes, shards=2)
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = FleetService
-        service = service_cls(cluster, make_policy(str(f["policy"])))
+    with build_cluster(nodes, shards=2 if sharded else 1) as cluster:
+        service = FleetService(cluster, make_policy(str(f["policy"])))
         if f["fault_plan"] != "none":
             service.install_faults(_plan_for(str(f["fault_plan"])))
         standby = int(f["autoscale_standby"])
@@ -344,9 +335,6 @@ def _fleet_arm(
             observables["autoscaler"] = to_jsonable(service.autoscaler.summary())
         failures.extend(_ledger_failures(cluster, arm))
         return observables
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
 
 
 def _run_fleet(scenario: Scenario) -> OracleResult:
@@ -370,29 +358,18 @@ def _run_fleet(scenario: Scenario) -> OracleResult:
 def _serve_arm(
     scenario: Scenario, sharded: bool, failures: List[str]
 ) -> Dict[str, object]:
-    from repro.fleet import AdmissionConfig, FleetCluster, make_policy
+    from repro.fleet import AdmissionConfig, build_cluster, make_policy
     from repro.serve import (
         Gateway,
         GatewayFleetService,
-        GatewayShardedFleetService,
         ServeProfile,
         SloBudgetPolicy,
         synthesize,
     )
 
     f = scenario.fields
-    nodes = int(f["nodes"])
     arm = "sharded" if sharded else "serial"
-    cluster = None
-    try:
-        if sharded:
-            from repro.parallel import ShardedFleetCluster
-
-            cluster = ShardedFleetCluster.build(nodes, shards=2)
-            service_cls = GatewayShardedFleetService
-        else:
-            cluster = FleetCluster.build(nodes)
-            service_cls = GatewayFleetService
+    with build_cluster(int(f["nodes"]), shards=2 if sharded else 1) as cluster:
         trace = synthesize(
             ServeProfile(
                 load=float(f["load"]),
@@ -407,7 +384,7 @@ def _serve_arm(
         admission_policy = (
             SloBudgetPolicy() if f["admission"] == "slo-budget" else None
         )
-        service = service_cls(
+        service = GatewayFleetService(
             cluster,
             make_policy("best-fit"),
             admission=AdmissionConfig(),
@@ -416,9 +393,6 @@ def _serve_arm(
         payload = Gateway(service, trace).run().to_dict()
         failures.extend(_ledger_failures(cluster, arm))
         return payload
-    finally:
-        if sharded and cluster is not None:
-            cluster.close()
 
 
 def _run_serve(scenario: Scenario) -> OracleResult:

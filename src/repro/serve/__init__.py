@@ -24,7 +24,6 @@ from repro.serve.gateway import (
     Gateway,
     GatewayFleetService,
     GatewayResult,
-    GatewayShardedFleetService,
     SessionHandle,
 )
 from repro.serve.slo import (
@@ -46,7 +45,6 @@ __all__ = [
     "Gateway",
     "GatewayFleetService",
     "GatewayResult",
-    "GatewayShardedFleetService",
     "ServeProfile",
     "SessionHandle",
     "SessionRecord",

@@ -16,22 +16,22 @@ of determinism:
   ``GuestAccelerator``;
 * the event loop is **pumped from the epoch protocol**: the serving
   loop already calls :meth:`FleetService._advance_epoch` at every event
-  boundary (the same hook the sharded executor uses to flush operation
-  batches, mirroring ``Engine.run_epoch``), and the gateway drains all
-  ready coroutine steps there.  No wall-clock timers, no I/O: a
-  coroutine only ever wakes because a simulated event resolved its
-  future, and wakeups run in FIFO resolution order — so the interleaving
-  is a pure function of the trace;
+  boundary (the hook that hands the clock to the cluster, mirroring
+  ``Engine.run_epoch``), and the gateway drains all ready coroutine
+  steps there.  No wall-clock timers, no I/O: a coroutine only ever
+  wakes because a simulated event resolved its future, and wakeups run
+  in FIFO resolution order — so the interleaving is a pure function of
+  the trace;
 * follow-up arrivals computed by a woken coroutine land at
   ``max(pump_now, completion + think)``: the simulated clock never runs
   backwards, and a chain's next session enters the heap exactly where a
   real returning client would.
 
-The gateway works unchanged over the serial and sharded fleets:
-:class:`GatewayFleetService` and :class:`GatewayShardedFleetService`
-mix the hooks into either base, and because every hook fires inside the
-deterministic serving loop the resulting envelopes are byte-identical
-at any ``--shards N``.
+The gateway works unchanged over the serial and sharded fleets: one
+:class:`GatewayFleetService` serves either cluster, and because every
+hook fires on the coordinator inside the deterministic serving loop —
+after the cluster has taken the clock — the resulting envelopes are
+byte-identical at any ``--shards N``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.admission import AdmissionDecision, FleetService, ServeResult
 from repro.fleet.traffic import TenantRequest
-from repro.parallel import ShardedFleetService
 from repro.serve.trace import ArrivalTrace, SessionRecord
 from repro.sim.stats import Counters, LatencyRecorder
 from repro.telemetry import MetricRegistry, current_tracer
@@ -159,9 +158,8 @@ class Gateway:
         attach = getattr(service, "attach_gateway", None)
         if attach is None:
             raise ConfigurationError(
-                "Gateway needs a GatewayFleetService or "
-                "GatewayShardedFleetService (plain FleetService has no "
-                "gateway hooks)"
+                "Gateway needs a GatewayFleetService (plain FleetService "
+                "has no gateway hooks)"
             )
         self.service = service
         self.trace = trace
@@ -362,8 +360,14 @@ class Gateway:
         return report
 
 
-class _GatewayHooks:
-    """Mixin wiring :class:`FleetService` hooks into an attached gateway."""
+class GatewayFleetService(FleetService):
+    """A fleet service wired to an attached gateway, over either cluster.
+
+    ``_advance_epoch`` first hands the clock to the cluster (a sharded
+    one flushes the completed epoch's operations to its workers), then
+    pumps the event loop — so coroutines observe exactly the same serving
+    state at exactly the same simulated times whatever the cluster.
+    """
 
     _gateway: Optional[Gateway] = None
 
@@ -397,18 +401,3 @@ class _GatewayHooks:
     def _on_decision(self, request, decision, now) -> None:
         if self._gateway is not None:
             self._gateway._on_decision(request, decision, now)
-
-
-class GatewayFleetService(_GatewayHooks, FleetService):
-    """Serial fleet service with gateway hooks."""
-
-
-class GatewayShardedFleetService(_GatewayHooks, ShardedFleetService):
-    """Sharded fleet service with gateway hooks.
-
-    The hooks compose cleanly with sharding because they all fire on the
-    coordinator: ``_advance_epoch`` first flushes the completed epoch's
-    operation batch to the shard workers (``super()``), then pumps the
-    event loop — so coroutines observe exactly the same serving state at
-    exactly the same simulated times as in the serial case.
-    """

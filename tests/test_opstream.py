@@ -134,30 +134,22 @@ def _chaos_autoscale_run(*, shards):
     from repro.faults import resolve_plan
     from repro.fleet import (
         AutoscaleConfig,
-        FleetCluster,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
+        build_cluster,
         make_policy,
     )
     from repro.scenario.properties import check_ledger
     from repro.sim.clock import ms
 
-    if shards > 1:
-        from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-        cluster = ShardedFleetCluster.build(3, shards=shards)
-        service_cls = ShardedFleetService
-    else:
-        cluster = FleetCluster.build(3)
-        service_cls = FleetService
-    try:
+    with build_cluster(3, shards=shards) as cluster:
         generator = TrafficGenerator(
             TrafficProfile(load=0.85),
             fleet_slots=cluster.total_slots,
             seed=1,
         )
-        service = service_cls(cluster, make_policy("best-fit"))
+        service = FleetService(cluster, make_policy("best-fit"))
         service.install_faults(resolve_plan("degrade-crash"))
         service.install_autoscaler(AutoscaleConfig(standby_nodes=("node2",)))
         service.schedule_op(ms(3), "drain", node_name="node1")
@@ -184,6 +176,3 @@ def _chaos_autoscale_run(*, shards):
             }
         )
         return summary, problems
-    finally:
-        if shards > 1:
-            cluster.close()

@@ -95,12 +95,6 @@ class TestDispatchPlan:
         # Cells clear the per-cell bar but there is only one of them.
         assert dispatch_plan(DISPATCH_OVERHEAD_S * 1.5, 1, jobs=8) is False
 
-    def test_force_override(self, monkeypatch):
-        from repro.parallel import dispatch_plan
-
-        monkeypatch.setenv("REPRO_FORCE_JOBS", "1")
-        assert dispatch_plan(0.0, 1, jobs=2) is True
-
 
 # -- the checkpointable epoch entry point --------------------------------------
 
@@ -232,14 +226,18 @@ class TestShardedByteIdentity:
             assert code == 0
             assert sharded == serial
 
-    def test_single_node_fleet_bypasses_the_fork_pool(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ("fleet", "--nodes", "1", "--requests", "24"),
+        ("serve", "--quick", "--nodes", "1", "--sessions", "120"),
+        ("chaos", "fleet", "--nodes", "1", "--plan", "single-node-crash",
+         "--requests", "24"),
+    ], ids=["fleet", "serve", "chaos"])
+    def test_single_node_fleet_bypasses_the_fork_pool(self, capsys, argv):
         # --shards on a 1-node fleet degenerates to the serial path:
         # identical envelope, and no ShardedFleetCluster is ever built.
         import repro.parallel.executor as executor
 
-        code, serial = run_cli(
-            capsys, "fleet", "--nodes", "1", "--requests", "24", "--json"
-        )
+        code, serial = run_cli(capsys, *argv, "--json")
         assert code == 0
         built = []
         original = executor.ShardedFleetCluster.__init__
@@ -250,10 +248,7 @@ class TestShardedByteIdentity:
 
         executor.ShardedFleetCluster.__init__ = spy
         try:
-            code, sharded = run_cli(
-                capsys, "fleet", "--nodes", "1", "--requests", "24",
-                "--json", "--shards", "4",
-            )
+            code, sharded = run_cli(capsys, *argv, "--json", "--shards", "4")
         finally:
             executor.ShardedFleetCluster.__init__ = original
         assert code == 0
@@ -271,39 +266,28 @@ class TestShardedByteIdentity:
 def _serve_traced(shards, *, seed, with_faults):
     from repro.faults import resolve_plan
     from repro.fleet import (
-        FleetCluster,
         FleetService,
         TrafficGenerator,
         TrafficProfile,
+        build_cluster,
         make_policy,
     )
     from repro.telemetry.tracer import install_tracer, uninstall_tracer
 
     tracer = install_tracer()
     try:
-        if shards > 1:
-            from repro.parallel import ShardedFleetCluster, ShardedFleetService
-
-            cluster = ShardedFleetCluster.build(3, shards=shards)
-            service_cls = ShardedFleetService
-        else:
-            cluster = FleetCluster.build(3)
-            service_cls = FleetService
-        try:
+        with build_cluster(3, shards=shards) as cluster:
             generator = TrafficGenerator(
                 TrafficProfile(load=0.85),
                 fleet_slots=cluster.total_slots,
                 seed=seed,
             )
-            service = service_cls(cluster, make_policy("best-fit"))
+            service = FleetService(cluster, make_policy("best-fit"))
             if with_faults:
                 service.install_faults(resolve_plan("single-node-crash"))
             result = service.serve(generator.generate(36))
             summary = result.summary()
             snapshot = cluster.metrics_snapshot()
-        finally:
-            if shards > 1:
-                cluster.close()
         tracer.finalize()
         return tracer.to_json(), summary, snapshot
     finally:
@@ -324,6 +308,53 @@ class TestShardedTraces:
             assert trace == serial_trace
             assert summary == serial_summary
             assert snapshot == serial_snapshot
+
+
+class TestBuildCluster:
+    @pytest.mark.parametrize("n_nodes, shards", [(1, 1), (1, 4), (4, 1)])
+    def test_one_node_or_one_shard_is_serial(self, n_nodes, shards):
+        from repro.fleet import FleetCluster, build_cluster
+
+        with build_cluster(n_nodes, shards=shards) as cluster:
+            assert type(cluster) is FleetCluster
+            assert len(cluster.nodes) == n_nodes
+
+    @pytest.mark.parametrize("n_nodes, shards", [(2, 2), (3, 2), (4, 3)])
+    def test_several_nodes_and_shards_are_sharded(self, n_nodes, shards):
+        from repro.fleet import build_cluster
+        from repro.parallel import ShardedFleetCluster
+
+        with build_cluster(n_nodes, shards=shards) as cluster:
+            assert type(cluster) is ShardedFleetCluster
+            assert cluster.shards == min(shards, n_nodes)
+            assert len(cluster.nodes) == n_nodes
+
+    def test_passes_the_fleet_shape_through(self):
+        from repro.fleet import build_cluster
+
+        templates = [("AES", "SHA"), ("MD5",)]
+        for shards in (1, 2):
+            with build_cluster(
+                3, shards=shards, templates=templates, max_oversub=3
+            ) as cluster:
+                assert [list(n.configuration.slots) for n in cluster.nodes] == [
+                    ["AES", "SHA"], ["MD5"], ["AES", "SHA"],
+                ]
+                assert {n.max_oversub for n in cluster.nodes} == {3}
+
+    def test_both_kinds_are_context_managers(self):
+        from repro.fleet import build_cluster
+
+        with build_cluster(2) as serial:
+            assert serial.opstream_stats() == {}
+            serial.advance_epoch(1)
+            serial.settle()
+        serial.close()  # closing again is harmless
+        with build_cluster(2, shards=2) as sharded:
+            assert sharded.opstream_stats()["messages"] == 0
+            processes = [shard.process for shard in sharded._shards]
+            assert all(process.is_alive() for process in processes)
+        assert not any(process.is_alive() for process in processes)
 
 
 class TestShardedClusterSurface:
@@ -409,8 +440,13 @@ def _kill_worker_after(monkeypatch, epochs):
 class TestDeadWorker:
     def test_killed_worker_raises_a_typed_error_mid_serve(self, monkeypatch):
         from repro.errors import ShardWorkerError
-        from repro.fleet import TrafficGenerator, TrafficProfile, make_policy
-        from repro.parallel import ShardedFleetCluster, ShardedFleetService
+        from repro.fleet import (
+            FleetService,
+            TrafficGenerator,
+            TrafficProfile,
+            make_policy,
+        )
+        from repro.parallel import ShardedFleetCluster
 
         killed = _kill_worker_after(monkeypatch, 20)
         with _deadline():
@@ -420,7 +456,7 @@ class TestDeadWorker:
                     fleet_slots=cluster.total_slots,
                     seed=1,
                 )
-                service = ShardedFleetService(cluster, make_policy("best-fit"))
+                service = FleetService(cluster, make_policy("best-fit"))
                 with pytest.raises(ShardWorkerError) as info:
                     service.serve(generator.generate(120))
                 assert killed, "the serve finished before the kill"

@@ -17,6 +17,7 @@ Covers the ISSUE 3 acceptance properties:
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -148,6 +149,20 @@ class TestTraceCapture:
         assert document["displayTimeUnit"] == "ns"
 
 
+def _tick_chain(n_events: int) -> Engine:
+    """An engine whose queue is a chain of ``n_events + 1`` ``tick`` events."""
+    engine = Engine()
+    state = {"left": n_events}
+
+    def tick() -> None:
+        if state["left"] > 0:
+            state["left"] -= 1
+            engine.call_after(1, tick)
+
+    engine.call_after(1, tick)
+    return engine
+
+
 class TestZeroCostDisabled:
     def test_components_carry_no_trace_state_without_tracer(self):
         assert current_tracer() is None
@@ -159,19 +174,7 @@ class TestZeroCostDisabled:
     def test_run_wrapper_overhead_under_five_percent(self):
         """``run()`` with tracing disabled vs the raw drain loop."""
         assert current_tracer() is None
-
-        def build_chain(n_events: int) -> Engine:
-            engine = Engine()
-            state = {"left": n_events}
-
-            def tick() -> None:
-                if state["left"] > 0:
-                    state["left"] -= 1
-                    engine.call_after(1, tick)
-
-            engine.call_after(1, tick)
-            return engine
-
+        build_chain = _tick_chain
         n_events = 150_000
 
         def timed(use_wrapper: bool) -> float:
@@ -194,6 +197,42 @@ class TestZeroCostDisabled:
             wrapped = min(wrapped, timed(use_wrapper=True))
             ratio = wrapped / baseline
         assert ratio < 1.05, f"disabled tracing cost {ratio:.3f}x > 1.05x"
+
+    def test_run_adds_no_per_event_python_calls(self):
+        """Host-independent twin of the wall-clock bar above: with tracing
+        off, ``run()`` makes the same few Python calls of its own at 1k
+        and at 10k events (everything inside a callback is not counted)."""
+        assert current_tracer() is None
+
+        def calls_beyond_callbacks(n_events: int) -> int:
+            engine = _tick_chain(n_events)
+            calls = 0
+            depth = 0  # > 0 while inside an event callback
+
+            def profile(frame, event, arg) -> None:
+                nonlocal calls, depth
+                if event == "call":
+                    code = frame.f_code
+                    is_tick = code.co_name == "tick" and code.co_filename == __file__
+                    if depth or is_tick:
+                        depth += 1
+                    else:
+                        calls += 1
+                elif event == "return" and depth:
+                    depth -= 1
+
+            sys.setprofile(profile)
+            try:
+                processed = engine.run()
+            finally:
+                sys.setprofile(None)
+            assert processed == n_events + 1
+            return calls
+
+        small = calls_beyond_callbacks(1_000)
+        large = calls_beyond_callbacks(10_000)
+        assert small == large, f"{small} calls at 1k events, {large} at 10k"
+        assert small <= 3, f"run() made {small} Python calls of its own"
 
 
 # -- the uniform instrument protocol ----------------------------------------
